@@ -15,12 +15,21 @@
 //! carries ~98% of the work. Per-layer rates are still reported, and full
 //! runs record everything in `BENCH_mvm.json`.
 //!
+//! A second, matrix-level row times the fused `ReramMatrix::matvec` (one
+//! exact integer product per input phase against the recombined signed
+//! levels) at fc1's shape against the same product composed from the
+//! eight member crossbars' `mvm_spiked` calls through the public
+//! `crossbars_mut()` accessor — the per-crossbar path the fused kernel
+//! replaced. Outputs and every member's spike counters must agree bit for
+//! bit, or the run fails; that row carries no speed floor.
+//!
 //! Single-threaded on purpose: the claim under test is the kernel's own
 //! throughput, not batch-level parallelism.
 
 use pipelayer_bench::{fmt_f, Table};
 use pipelayer_nn::serialize::atomic_write;
-use pipelayer_reram::Crossbar;
+use pipelayer_reram::{Crossbar, ReramMatrix, ReramParams};
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
@@ -43,6 +52,15 @@ struct LayerArm {
     packed_mvms_per_sec: f64,
     scalar_mvms_per_sec: f64,
     speedup: f64,
+}
+
+/// Wall-clock seconds for `reps` calls of `step` (passed the rep index).
+fn timed(reps: usize, mut step: impl FnMut(usize)) -> f64 {
+    let t0 = Instant::now();
+    for i in 0..reps {
+        step(i);
+    }
+    t0.elapsed().as_secs_f64()
 }
 
 /// SplitMix64 step — a tiny self-contained stream so the benchmark does not
@@ -72,7 +90,7 @@ fn build(rows: usize, cols: usize, seed: u64) -> (Crossbar, Vec<Vec<u32>>) {
     let levels: Vec<Vec<u8>> = (0..rows)
         .map(|_| {
             (0..cols)
-                .map(|_| (splitmix(&mut state) % (max_level + 1)) as u8)
+                .map(|_| u8::try_from(splitmix(&mut state) % (max_level + 1)).unwrap_or(0))
                 .collect()
         })
         .collect();
@@ -82,11 +100,107 @@ fn build(rows: usize, cols: usize, seed: u64) -> (Crossbar, Vec<Vec<u32>>) {
     let inputs: Vec<Vec<u32>> = (0..INPUT_POOL)
         .map(|_| {
             (0..rows)
-                .map(|_| (splitmix(&mut state) % max_in) as u32)
+                .map(|_| u32::try_from(splitmix(&mut state) % max_in).unwrap_or(0))
                 .collect()
         })
         .collect();
     (xbar, inputs)
+}
+
+/// Matrix-level timing of the fused kernel against the per-crossbar
+/// composition.
+struct MatrixArm {
+    fused_matvecs_per_sec: f64,
+    composed_matvecs_per_sec: f64,
+    speedup: f64,
+    identical: bool,
+}
+
+/// A uniform draw in `[-1, 1)` from the SplitMix64 stream.
+fn signed_unit(state: &mut u64) -> f32 {
+    let top = u16::try_from(splitmix(state) >> 48).unwrap_or(0);
+    f32::from(top) / 32768.0 - 1.0
+}
+
+/// `ReramMatrix::matvec` composed from the member crossbars through the
+/// public API: the same input quantization, then per input sign phase one
+/// `mvm_spiked` on each member (positive/negative interleaved,
+/// least-significant segment group first), shift-added and subtracted.
+fn composed_matvec(m: &mut ReramMatrix, x: &[f32], params: &ReramParams) -> Vec<f32> {
+    let absmax = x.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+    if absmax == 0.0 {
+        return vec![0.0; m.out_dim()];
+    }
+    let x_scale = absmax / ((2f32.powi(i32::from(params.data_bits)) - 1.0) / 2.0);
+    let q: Vec<i64> = x.iter().map(|&v| (v / x_scale).round() as i64).collect();
+    let mut acc = vec![0i64; m.out_dim()];
+    for sign in [1i64, -1] {
+        let phase: Vec<u32> = q
+            .iter()
+            .map(|&v| u32::try_from(v * sign).unwrap_or(0))
+            .collect();
+        if phase.iter().all(|&v| v == 0) {
+            continue;
+        }
+        for (k, xbar) in m.crossbars_mut().enumerate() {
+            let shift = k / 2 * usize::from(params.cell_bits);
+            let member_sign = if k % 2 == 0 { sign } else { -sign };
+            let y = xbar.mvm_spiked(&phase, params.data_bits);
+            for (a, &v) in acc.iter_mut().zip(&y) {
+                *a += member_sign * ((v as i64) << shift);
+            }
+        }
+    }
+    let scale = m.weight_scale();
+    acc.iter().map(|&a| a as f32 * scale * x_scale).collect()
+}
+
+/// Times the fused matvec against the per-crossbar composition on two
+/// identically-programmed `rows × cols` matrices; checks outputs and
+/// member spike counters before trusting the clock.
+fn matrix_arm(rows: usize, cols: usize, seed: u64, reps: usize) -> MatrixArm {
+    let params = ReramParams::default();
+    let mut state = seed;
+    let w: Vec<f32> = (0..rows * cols).map(|_| signed_unit(&mut state)).collect();
+    let inputs: Vec<Vec<f32>> = (0..INPUT_POOL)
+        .map(|_| (0..rows).map(|_| signed_unit(&mut state)).collect())
+        .collect();
+    let mut fused = ReramMatrix::program(&w, cols, rows, &params);
+    let mut composed = fused.clone();
+
+    let mut identical = true;
+    for x in &inputs {
+        let a = fused.matvec(x);
+        let b = composed_matvec(&mut composed, x, &params);
+        identical &= a
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(b.iter().map(|v| v.to_bits()));
+    }
+    identical &= fused
+        .crossbars()
+        .map(Crossbar::spike_counters)
+        .eq(composed.crossbars().map(Crossbar::spike_counters));
+    if !identical {
+        eprintln!("CORRECTNESS FAILURE: fused matvec != per-crossbar composition");
+    }
+
+    let fused_secs = timed(reps, |i| {
+        black_box(fused.matvec(&inputs[i % INPUT_POOL]));
+    });
+    let composed_secs = timed(reps, |i| {
+        black_box(composed_matvec(
+            &mut composed,
+            &inputs[i % INPUT_POOL],
+            &params,
+        ));
+    });
+    MatrixArm {
+        fused_matvecs_per_sec: reps as f64 / fused_secs,
+        composed_matvecs_per_sec: reps as f64 / composed_secs,
+        speedup: composed_secs / fused_secs,
+        identical,
+    }
 }
 
 fn main() {
@@ -123,21 +237,12 @@ fn main() {
         }
 
         // Warmup already happened above (plane cache is hot, pages faulted).
-        let t0 = Instant::now();
-        let mut sink = 0u64;
-        for i in 0..reps {
-            let y = packed_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS);
-            sink = sink.wrapping_add(y[0]);
-        }
-        let packed_secs = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        for i in 0..reps {
-            let y = scalar_xbar.mvm_spiked_scalar(&inputs[i % INPUT_POOL], INPUT_BITS);
-            sink = sink.wrapping_add(y[0]);
-        }
-        let scalar_secs = t0.elapsed().as_secs_f64();
-        std::hint::black_box(sink);
+        let packed_secs = timed(reps, |i| {
+            black_box(packed_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS));
+        });
+        let scalar_secs = timed(reps, |i| {
+            black_box(scalar_xbar.mvm_spiked_scalar(&inputs[i % INPUT_POOL], INPUT_BITS));
+        });
 
         let packed_rate = reps as f64 / packed_secs;
         let scalar_rate = reps as f64 / scalar_secs;
@@ -166,6 +271,28 @@ fn main() {
             format!("{}x", fmt_f(arm.speedup, 2)),
         ]);
     }
+    table.print();
+
+    let (m_rows, m_cols) = (785, 100);
+    let matrix = matrix_arm(m_rows, m_cols, 0xFC1, reps);
+    all_identical &= matrix.identical;
+    let mut table = Table::new(
+        "Signed 16-bit matrix matvec, fused vs per-crossbar (single thread)".to_string(),
+        &[
+            "layer",
+            "shape",
+            "fused matvec/s",
+            "per-crossbar matvec/s",
+            "speedup",
+        ],
+    );
+    table.row(vec![
+        "mnist_a fc1".to_string(),
+        format!("{m_rows}x{m_cols}"),
+        fmt_f(matrix.fused_matvecs_per_sec, 1),
+        fmt_f(matrix.composed_matvecs_per_sec, 1),
+        format!("{}x", fmt_f(matrix.speedup, 2)),
+    ]);
     table.print();
 
     // Network speedup: one MVM per layer (a full forward pass). Equal rep
@@ -204,7 +331,15 @@ fn main() {
                 if i + 1 < arms.len() { "," } else { "" }
             ));
         }
-        json.push_str("  ]\n}\n");
+        json.push_str("  ],\n");
+        json.push_str(&format!(
+            "  \"matrix\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"data_bits\": {}, \"crossbars\": 8, \"fused_matvecs_per_sec\": {}, \"per_crossbar_matvecs_per_sec\": {}, \"speedup\": {}}}\n",
+            ReramParams::default().data_bits,
+            json_num(matrix.fused_matvecs_per_sec),
+            json_num(matrix.composed_matvecs_per_sec),
+            json_num(matrix.speedup),
+        ));
+        json.push_str("}\n");
         if let Err(e) = atomic_write(Path::new("BENCH_mvm.json"), json.as_bytes()) {
             eprintln!("failed to write BENCH_mvm.json: {e}");
             std::process::exit(1);
@@ -213,7 +348,7 @@ fn main() {
     }
 
     if !all_identical {
-        eprintln!("packed datapath diverged from the scalar reference — failing");
+        eprintln!("a fast path diverged from its reference — failing");
         std::process::exit(1);
     }
     if network_speedup < floor {
@@ -225,5 +360,9 @@ fn main() {
     println!(
         "packed outputs bitwise identical to scalar; network speedup {:.2}x (floor {floor}x)",
         network_speedup
+    );
+    println!(
+        "fused matvec outputs and spike counters identical to the per-crossbar composition; {:.2}x",
+        matrix.speedup
     );
 }

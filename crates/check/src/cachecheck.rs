@@ -41,8 +41,11 @@ pub struct CacheSpec {
 /// The repo's configured caches: `Crossbar.plane_cache` is derived from the
 /// cell array, fault map, drift state, noise state, and wear state (an
 /// exhausted cell becomes a live stuck-at fault, which changes what an MVM
-/// reads). `ReramMatrix` (array_group.rs) holds no cache of its own — its
-/// `Crossbar` members self-invalidate — so `Crossbar` is the one triple.
+/// reads). `ReramMatrix` (array_group.rs) caches its members' fused levels,
+/// but keyed on each member's `generation` stamp, which `Crossbar`'s one
+/// `invalidate()` replaces together with `plane_cache` — so a method that
+/// passes this check also keeps the matrix cache coherent, and `Crossbar`
+/// stays the one triple.
 pub fn default_specs() -> Vec<CacheSpec> {
     vec![CacheSpec {
         type_name: "Crossbar".to_string(),

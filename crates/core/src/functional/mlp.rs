@@ -781,11 +781,12 @@ impl ReramMlp {
     ///
     /// Samples are fed layer-major: every layer sees the whole batch as
     /// one [`ReramMatrix::matvec_batch`] call (forward and error
-    /// backward), so each array's bit-plane decomposition is resolved
-    /// once per batch instead of once per sample. Losses and gradients
-    /// accumulate in sample order, so on arrays whose reads don't perturb
-    /// the device state (ideal, faulted, or pure-retention drift) the
-    /// result is bitwise identical to the per-sample reference
+    /// backward), which runs the samples one after another through the
+    /// matrix's fused kernel; its level cache is built after each write
+    /// and reused until a member array's state moves. Losses and
+    /// gradients accumulate in sample order, so on arrays whose reads
+    /// don't perturb the device state (ideal, faulted, or pure-retention
+    /// drift) the result is bitwise identical to the per-sample reference
     /// [`train_batch_scalar`](Self::train_batch_scalar) — differentially
     /// tested. With per-read noise or read disturb the MVMs execute in a
     /// different (documented) order, so those trajectories are equally
@@ -806,7 +807,7 @@ impl ReramMlp {
     /// buffers, and returns the summed (not mean) loss. No update is
     /// applied and no clock advanced — callers own that.
     fn batch_grads(&mut self, images: &[Tensor], labels: &[usize]) -> f32 {
-        // Forward, layer-major: one packed multi-image kernel per layer.
+        // Forward, layer-major: one batched fused matvec per layer.
         let mut vs: Vec<Vec<f32>> = images.iter().map(|t| t.as_slice().to_vec()).collect();
         let mut cached_ins: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
         let mut cached_outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());

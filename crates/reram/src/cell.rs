@@ -163,15 +163,45 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "exceeds")]
     fn rejects_overrange_level() {
         ReramCell::new(4).program(16);
     }
 
+    /// Release twin of `rejects_overrange_level`: an over-range write
+    /// saturates at the cell's top level, on both program paths.
     #[test]
+    #[cfg(not(debug_assertions))]
+    fn overrange_level_saturates_in_release() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut c = ReramCell::new(4);
+        assert_eq!(c.program(16), 15);
+        assert_eq!(c.level(), 15);
+        assert_eq!(c.program(255), 0);
+        let mut c = ReramCell::new(4);
+        let mut rng = StdRng::seed_from_u64(0);
+        let w = c.program_verify(200, &VerifyPolicy::default(), &mut rng);
+        assert!(w.verified);
+        assert_eq!((w.pulses, c.level()), (15, 15));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "resolution")]
     fn rejects_zero_bits() {
         ReramCell::new(0);
+    }
+
+    /// Release twin of `rejects_zero_bits`: the resolution clamps to
+    /// `1..=8` bits.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn bit_count_clamps_in_release() {
+        assert_eq!(ReramCell::new(0).bits(), 1);
+        assert_eq!(ReramCell::new(0).max_level(), 1);
+        assert_eq!(ReramCell::new(9).bits(), 8);
+        assert_eq!(ReramCell::new(255).max_level(), 255);
     }
 
     #[test]
