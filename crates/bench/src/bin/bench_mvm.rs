@@ -23,6 +23,14 @@
 //! replaced. Outputs and every member's spike counters must agree bit for
 //! bit, or the run fails; that row carries no speed floor.
 //!
+//! A third row times the Fig. 14(b) write-back of Mnist-A fc1: read the
+//! forward copy (785 inputs × 100 outputs) out, then rewrite it and its
+//! transposed copy (100 × 784), alternating between two weight sets so
+//! every write moves levels. Stored levels, weight scales and write spikes
+//! must match a reference built from public APIs alone (the quantizer's
+//! scale rule, the nibble split and `Crossbar::program` on clones of the
+//! members), or the run fails; that row carries no speed floor either.
+//!
 //! Single-threaded on purpose: the claim under test is the kernel's own
 //! throughput, not batch-level parallelism.
 
@@ -203,6 +211,132 @@ fn matrix_arm(rows: usize, cols: usize, seed: u64, reps: usize) -> MatrixArm {
     }
 }
 
+/// Timing of the Fig. 14(b) write-back on one layer's two copies.
+struct WritebackArm {
+    read_us: f64,
+    write_us: f64,
+    identical: bool,
+}
+
+/// `ReramMatrix::write` rebuilt from public APIs on `members` (clones of a
+/// matrix's crossbars, in `crossbars()` order): the weight scale maps the
+/// largest magnitude to the top signed level, each weight rounds to a
+/// level, and segment group `g` of a level goes to the positive or the
+/// negative array of pair `g` through `Crossbar::program`. Returns the
+/// scale.
+fn reference_write(
+    members: &mut [Crossbar],
+    weights: &[f32],
+    out_dim: usize,
+    in_dim: usize,
+    params: &ReramParams,
+) -> f32 {
+    let qmax = (1i64 << (params.data_bits - 1)) - 1;
+    let absmax = weights.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
+    let scale = if absmax == 0.0 {
+        1.0
+    } else {
+        absmax / (2f32.powi(i32::from(params.data_bits) - 1) - 1.0)
+    };
+    let mask = (1u64 << params.cell_bits) - 1;
+    for (g, pair) in members.chunks_exact_mut(2).enumerate() {
+        let shift = g * usize::from(params.cell_bits);
+        let mut pos = vec![vec![0u8; out_dim]; in_dim];
+        let mut neg = vec![vec![0u8; out_dim]; in_dim];
+        for (o, row) in weights.chunks_exact(in_dim).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                let q = ((w / scale).round() as i64).clamp(-qmax, qmax);
+                let nibble = u8::try_from((q.unsigned_abs() >> shift) & mask).unwrap_or(u8::MAX);
+                let side = if q >= 0 { &mut pos } else { &mut neg };
+                side[i][o] = nibble;
+            }
+        }
+        if let [p, n] = pair {
+            p.program(&pos);
+            n.program(&neg);
+        }
+    }
+    scale
+}
+
+/// The transposed copy's weights, as the functional trainers build them:
+/// `w` (`[n_out][n_in + 1]`, bias last) transposed to `[n_in][n_out]`
+/// without the bias column.
+fn transpose_no_bias(w: &[f32], n_out: usize, n_in: usize) -> Vec<f32> {
+    (0..n_in)
+        .flat_map(|i| (0..n_out).map(move |o| w[o * (n_in + 1) + i]))
+        .collect()
+}
+
+/// Whether `m`'s members hold exactly `members`' stored levels and write
+/// spikes, and `m` the reference scale.
+fn matches_reference(m: &ReramMatrix, members: &[Crossbar], scale: f32) -> bool {
+    m.weight_scale().to_bits() == scale.to_bits()
+        && m.crossbars()
+            .map(|x| (x.stored_levels(), x.write_spikes()))
+            .eq(members
+                .iter()
+                .map(|x| (x.stored_levels(), x.write_spikes())))
+}
+
+/// Times `read` of the forward copy plus `write` of both copies of a
+/// `rows × cols` layer (`rows` inputs with the bias row folded in), after
+/// checking the writes against [`reference_write`].
+fn writeback_arm(rows: usize, cols: usize, seed: u64, reps: usize) -> WritebackArm {
+    let params = ReramParams::default();
+    let mut state = seed;
+    let a: Vec<f32> = (0..rows * cols)
+        .map(|_| 0.1 * signed_unit(&mut state))
+        .collect();
+    // A second set one small SGD-sized step away, as in training.
+    let b: Vec<f32> = a
+        .iter()
+        .map(|&w| w - 1e-3 * signed_unit(&mut state))
+        .collect();
+    // The transposed copy drops the bias row: `cols` inputs, `rows - 1`
+    // outputs.
+    let sets: Vec<(Vec<f32>, Vec<f32>)> = [a, b]
+        .into_iter()
+        .map(|w| {
+            let wt = transpose_no_bias(&w, cols, rows - 1);
+            (w, wt)
+        })
+        .collect();
+    let mut fwd = ReramMatrix::program(&sets[0].0, cols, rows, &params);
+    let mut bwd = ReramMatrix::program(&sets[0].1, rows - 1, cols, &params);
+
+    let mut identical = true;
+    let mut ref_fwd: Vec<Crossbar> = fwd.crossbars().cloned().collect();
+    let mut ref_bwd: Vec<Crossbar> = bwd.crossbars().cloned().collect();
+    for (w, wt) in sets.iter().cycle().skip(1).take(4) {
+        fwd.write(w);
+        bwd.write(wt);
+        let scale = reference_write(&mut ref_fwd, w, cols, rows, &params);
+        identical &= matches_reference(&fwd, &ref_fwd, scale);
+        let scale = reference_write(&mut ref_bwd, wt, rows - 1, cols, &params);
+        identical &= matches_reference(&bwd, &ref_bwd, scale);
+    }
+    if !identical {
+        eprintln!("CORRECTNESS FAILURE: write-back != public-API reference");
+    }
+
+    let (mut read_s, mut write_s) = (0.0f64, 0.0f64);
+    for (w, wt) in sets.iter().cycle().take(reps) {
+        read_s += timed(1, |_| {
+            black_box(fwd.read());
+        });
+        write_s += timed(1, |_| {
+            fwd.write(w);
+            bwd.write(wt);
+        });
+    }
+    WritebackArm {
+        read_us: read_s * 1e6 / reps as f64,
+        write_us: write_s * 1e6 / reps as f64,
+        identical,
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (reps, floor) = if smoke { (24usize, 2.5f64) } else { (400, 5.0) };
@@ -295,6 +429,21 @@ fn main() {
     ]);
     table.print();
 
+    let writeback = writeback_arm(m_rows, m_cols, 0xB4C, reps);
+    all_identical &= writeback.identical;
+    let mut table = Table::new(
+        "Fig. 14(b) write-back of both fc1 copies (single thread)".to_string(),
+        &["layer", "copies", "read µs", "write µs", "update µs"],
+    );
+    table.row(vec![
+        "mnist_a fc1".to_string(),
+        format!("{m_rows}x{m_cols} + {m_cols}x{}", m_rows - 1),
+        fmt_f(writeback.read_us, 1),
+        fmt_f(writeback.write_us, 1),
+        fmt_f(writeback.read_us + writeback.write_us, 1),
+    ]);
+    table.print();
+
     // Network speedup: one MVM per layer (a full forward pass). Equal rep
     // counts per layer make the timed totals directly comparable.
     let scalar_total: f64 = arms.iter().map(|a| a.scalar_secs).sum();
@@ -333,11 +482,19 @@ fn main() {
         }
         json.push_str("  ],\n");
         json.push_str(&format!(
-            "  \"matrix\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"data_bits\": {}, \"crossbars\": 8, \"fused_matvecs_per_sec\": {}, \"per_crossbar_matvecs_per_sec\": {}, \"speedup\": {}}}\n",
+            "  \"matrix\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"data_bits\": {}, \"crossbars\": 8, \"fused_matvecs_per_sec\": {}, \"per_crossbar_matvecs_per_sec\": {}, \"speedup\": {}}},\n",
             ReramParams::default().data_bits,
             json_num(matrix.fused_matvecs_per_sec),
             json_num(matrix.composed_matvecs_per_sec),
             json_num(matrix.speedup),
+        ));
+        json.push_str(&format!(
+            "  \"writeback\": {{\"layer\": \"mnist_a fc1\", \"forward\": \"{m_rows}x{m_cols}\", \"transposed\": \"{m_cols}x{}\", \"read_us\": {}, \"write_us\": {}, \"update_us\": {}, \"levels_identical\": {}}}\n",
+            m_rows - 1,
+            json_num(writeback.read_us),
+            json_num(writeback.write_us),
+            json_num(writeback.read_us + writeback.write_us),
+            writeback.identical,
         ));
         json.push_str("}\n");
         if let Err(e) = atomic_write(Path::new("BENCH_mvm.json"), json.as_bytes()) {
@@ -364,5 +521,9 @@ fn main() {
     println!(
         "fused matvec outputs and spike counters identical to the per-crossbar composition; {:.2}x",
         matrix.speedup
+    );
+    println!(
+        "write-back levels, scales and write spikes identical to the public-API reference; update {:.1} µs",
+        writeback.read_us + writeback.write_us
     );
 }

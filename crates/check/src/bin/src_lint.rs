@@ -19,7 +19,7 @@
 //!   wall-clock sources `Instant::now` / `SystemTime::now`; `==`/`!=`
 //!   against float literals are printed as warnings.
 //! * **Lossy numeric `as` casts** and **raw storage indexing in
-//!   `crates/reram/`** (`.slots[`, `.cells[`, `.words[`), both shrink-only.
+//!   `crates/reram/`** (`.slots[`, `.levels[`, `.words[`), both shrink-only.
 //!
 //! **Semantic passes** (`--semantic`) — the `check::callgraph` layer:
 //!
@@ -27,7 +27,7 @@
 //!   `pub` fns can transitively reach a panic, with a witness call chain.
 //!   Counted per file under the `pl060` allowlist pattern, shrink-only.
 //! * **PL061 cache coherence**: `&mut self` methods of configured types
-//!   (`Crossbar{plane_cache; cells,faults,drift,noise}`) that write state
+//!   (`Crossbar{plane_cache; levels,faults,drift,noise,wear}`) that write state
 //!   without invalidating the cache. **No allowlist** — any finding fails.
 //! * **PL062 determinism taint**: nondeterminism sources reaching the
 //!   weight/report sinks outside the seed stream. `pl062`, shrink-only.
@@ -87,7 +87,7 @@ fn pat(name: &'static str, needle: String, word_start: bool) -> Pattern {
 }
 
 /// A raw-index pattern on the ReRAM crate's internal storage vectors
-/// (`.slots[`, `.cells[`, `.words[`): direct indexing is how the
+/// (`.slots[`, `.levels[`, `.words[`): direct indexing is how the
 /// `input_bits > 32` out-of-bounds panic slipped into `SpikeTrain::fires` —
 /// accessors with explicit bounds behaviour (`get`, `slot_words`,
 /// `col_words`, `level`) are the sanctioned surface. Existing sites are
@@ -119,7 +119,7 @@ fn patterns() -> Vec<Pattern> {
         pat("cast", ["as", " i16"].concat(), true),
         pat("cast", ["as", " i32"].concat(), true),
         raw_index([".slo", "ts"].concat()),
-        raw_index([".cel", "ls"].concat()),
+        raw_index([".lev", "els"].concat()),
         raw_index([".wor", "ds"].concat()),
     ]
 }
@@ -589,7 +589,7 @@ let cycles = clock.now(); // a simulated clock is fine
     fn raw_reram_indexing_is_flagged_and_scoped() {
         let pats = patterns();
         let text =
-            "fn f(&self) { let x = self.cells[3]; let w = &self.words[0..2]; self.slots[i] = true; }\n";
+            "fn f(&self) { let x = self.levels[3]; let w = &self.words[0..2]; self.slots[i] = true; }\n";
         let report = scan_file(text, &pats);
         assert_eq!(report.counts.get("rawindex"), Some(&3));
         // The rule is scoped to the ReRAM crate; `self.slots[...]` in, say,

@@ -1,7 +1,7 @@
 //! PL061 — cache-coherence check for manually-invalidated derived caches.
 //!
-//! PR 7 added `Crossbar::plane_cache`: bit-packed conductance planes derived
-//! from `cells` + `faults` + `drift` + `noise`, invalidated by hand at every
+//! `Crossbar::plane_cache` holds bit-packed conductance planes derived
+//! from `levels` + `faults` + `drift` + `noise`, invalidated by hand at every
 //! mutation site. One forgotten `self.plane_cache = None` in a future
 //! `&mut self` method silently serves stale planes — a value bug no test
 //! catches until the exact stale path is exercised.
@@ -17,6 +17,9 @@
 //! cache):
 //! * `self.F = …` assignment (excluding `==`),
 //! * `self.F.as_mut(…)` / `self.F.take(…)` / any `&mut self.F`,
+//! * a mutating method called on the field: `self.F.iter_mut()`,
+//!   `self.F.get_mut(…)`, `self.F.fill(…)` and the like (any `*_mut`
+//!   method, plus the in-place `Vec`/slice mutators),
 //! * `self.F[…]` indexing inside a `&mut self` method.
 //!
 //! Invalidation = any of the same shapes applied to the cache field
@@ -39,7 +42,7 @@ pub struct CacheSpec {
 }
 
 /// The repo's configured caches: `Crossbar.plane_cache` is derived from the
-/// cell array, fault map, drift state, noise state, and wear state (an
+/// stored cell levels, fault map, drift state, noise state, and wear state (an
 /// exhausted cell becomes a live stuck-at fault, which changes what an MVM
 /// reads). `ReramMatrix` (array_group.rs) caches its members' fused levels,
 /// but keyed on each member's `generation` stamp, which `Crossbar`'s one
@@ -51,7 +54,7 @@ pub fn default_specs() -> Vec<CacheSpec> {
         type_name: "Crossbar".to_string(),
         cache_field: "plane_cache".to_string(),
         state_fields: vec![
-            "cells".to_string(),
+            "levels".to_string(),
             "faults".to_string(),
             "drift".to_string(),
             "noise".to_string(),
@@ -87,14 +90,9 @@ fn writes_field(ws: &Workspace, f: &FnItem, fields: &[String]) -> Option<String>
         match text(k + 3) {
             // `self.F = …` but not `self.F == …`.
             "=" if text(k + 4) != "=" => return Some(field.to_string()),
-            // `self.F.as_mut(…)` / `self.F.take(…)` / `self.F.replace(…)`.
-            "." if matches!(
-                text(k + 4),
-                "as_mut" | "take" | "replace" | "insert" | "get_or_insert_with"
-            ) =>
-            {
-                return Some(field.to_string());
-            }
+            // `self.F.as_mut(…)` / `self.F.take(…)` / `self.F.iter_mut()` /
+            // `self.F.fill(…)` — a method that mutates the field in place.
+            "." if mutates_in_place(text(k + 4)) => return Some(field.to_string()),
             // `self.F[…]` — indexing a storage vector in a `&mut self`
             // method is treated as a write (over-approximation).
             "[" if f.mut_self => return Some(field.to_string()),
@@ -102,6 +100,35 @@ fn writes_field(ws: &Workspace, f: &FnItem, fields: &[String]) -> Option<String>
         }
     }
     None
+}
+
+/// Whether calling method `name` on a field can mutate it in place: any
+/// `*_mut` accessor, plus the `Option`/`Vec`/slice mutators.
+fn mutates_in_place(name: &str) -> bool {
+    name.ends_with("_mut")
+        || matches!(
+            name,
+            "take"
+                | "replace"
+                | "insert"
+                | "get_or_insert_with"
+                | "fill"
+                | "copy_from_slice"
+                | "clone_from_slice"
+                | "swap"
+                | "push"
+                | "pop"
+                | "clear"
+                | "truncate"
+                | "resize"
+                | "extend"
+                | "extend_from_slice"
+                | "retain"
+                | "drain"
+                | "remove"
+                | "sort_unstable"
+                | "reverse"
+        )
 }
 
 /// Same-type callees of `f` (through `self.m(…)`, `Self::m(…)`, `Type::m(…)`).
@@ -282,6 +309,20 @@ mod tests {
         let diags =
             run("struct C;\nimpl C { fn m(&mut self, i: usize) { self.state[i].poke(); } }");
         assert_eq!(diags.len(), 1, "{diags:?}");
+    }
+
+    #[test]
+    fn in_place_mutator_calls_count_as_writes() {
+        for call in ["iter_mut()", "get_mut(0)", "fill(0)", "chunks_exact_mut(4)"] {
+            let diags = run(&format!(
+                "struct C;\nimpl C {{ fn m(&mut self) {{ self.state.{call}; }} }}"
+            ));
+            assert_eq!(diags.len(), 1, "{call}: {diags:?}");
+        }
+        let diags = run(
+            "struct C;\nimpl C { fn m(&mut self) { let n = self.state.iter().count(); self.aux.len(); } }",
+        );
+        assert!(diags.is_empty(), "reads are not writes: {diags:?}");
     }
 
     #[test]

@@ -215,3 +215,56 @@ fn pl061_real_workspace_is_clean() {
         "PL061 findings on the real tree: {diags:?}"
     );
 }
+
+/// The real `Crossbar` source, with `extra` appended as one more `impl`.
+fn crossbar_with(extra: &str) -> Workspace {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = root.join("crates/reram/src/crossbar.rs");
+    let src = std::fs::read_to_string(&path).expect("crossbar.rs is readable");
+    Workspace::build(vec![(
+        "crates/reram/src/crossbar.rs".to_string(),
+        format!("{src}\nimpl Crossbar {{\n{extra}\n}}\n"),
+    )])
+}
+
+#[test]
+fn pl061_default_specs_name_real_crossbar_fields() {
+    // A renamed storage field must be renamed in the spec too, or the pass
+    // silently stops seeing writes to it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let src = std::fs::read_to_string(root.join("crates/reram/src/crossbar.rs"))
+        .expect("crossbar.rs is readable");
+    let body = src
+        .split("pub struct Crossbar {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}").next())
+        .expect("Crossbar struct body");
+    for spec in cachecheck::default_specs() {
+        for field in spec.state_fields.iter().chain([&spec.cache_field]) {
+            assert!(
+                body.contains(&format!("    {field}: ")),
+                "PL061 spec names `{field}`, which `Crossbar` does not declare"
+            );
+        }
+    }
+}
+
+#[test]
+fn pl061_flags_a_real_crossbar_method_writing_levels_without_invalidating() {
+    for body in [
+        "pub fn sneak(&mut self) { self.levels.fill(0); }",
+        "pub fn sneak(&mut self, i: usize) { self.levels[i] = 3; }",
+        "pub fn sneak(&mut self) { for l in self.levels.iter_mut() { *l = 1; } }",
+    ] {
+        let diags = cachecheck::check(&crossbar_with(body), &cachecheck::default_specs());
+        assert_eq!(diags.len(), 1, "{body}: {diags:?}");
+        assert!(
+            diags[0].message.contains("`Crossbar::sneak`") && diags[0].message.contains("levels"),
+            "{}",
+            diags[0].message
+        );
+    }
+    let ok = "pub fn sneak(&mut self) { self.levels.fill(0); self.invalidate(); }";
+    let diags = cachecheck::check(&crossbar_with(ok), &cachecheck::default_specs());
+    assert!(diags.is_empty(), "{diags:?}");
+}

@@ -374,13 +374,18 @@ impl ReramMatrix {
         } else {
             absmax / self.qmax() as f32
         };
-        let (qmax, scale) = (self.qmax(), self.weight_scale);
-        let out_dim = self.out_dim;
+        let qmax = i32::try_from(self.qmax()).unwrap_or(i32::MAX);
+        let (in_dim, out_dim, scale) = (self.in_dim, self.out_dim, self.weight_scale);
         let mut q = vec![0i32; weights.len()];
-        for (o, row) in weights.chunks_exact(self.in_dim).enumerate() {
-            for (qv, &w) in q.iter_mut().skip(o).step_by(out_dim).zip(row) {
-                *qv = ((w / scale).round() as i64).clamp(-qmax, qmax) as i32;
+        // A band of output rows is quantized in the weights' own order (a
+        // contiguous pass that vectorises), then written out transposed.
+        let mut band = vec![0i32; BAND * in_dim];
+        for (o0, rows) in (0..).step_by(BAND).zip(weights.chunks(BAND * in_dim)) {
+            let band = band.get_mut(..rows.len()).unwrap_or_default();
+            for (qv, &w) in band.iter_mut().zip(rows) {
+                *qv = round_clamped(w / scale, qmax);
             }
+            scatter_transposed(band, in_dim, &mut q, out_dim, o0);
         }
         q
     }
@@ -485,26 +490,48 @@ impl ReramMatrix {
 
     /// Reads the stored (quantized) weights back — the "old weights are read
     /// out" step of the update path (Sec. 4.4.2).
+    ///
+    /// Each word line is read once across all member crossbars. An output
+    /// sums its segment groups' signed terms in ascending group order,
+    /// starting from `0.0`, and is written once; masked outputs read 0.
     pub fn read(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.out_dim * self.in_dim];
-        let (mut p_row, mut n_row) = (vec![0u8; self.out_dim], vec![0u8; self.out_dim]);
-        for (g, (pos, neg)) in self.groups.iter().enumerate() {
-            let shift = g as u32 * self.cell_bits as u32;
-            for i in 0..self.in_dim {
-                // Reads go through the analog path, so stuck cells
-                // corrupt what comes back.
-                pos.read_row(i, &mut p_row);
-                neg.read_row(i, &mut n_row);
-                let cells = p_row.iter().zip(&n_row).zip(&self.masked_outputs);
-                for (v, ((&p, &n), &masked)) in
-                    out.iter_mut().skip(i).step_by(self.in_dim).zip(cells)
-                {
-                    if !masked {
-                        let d = i64::from(p) - i64::from(n);
-                        *v += (d << shift) as f32 * self.weight_scale;
+        let (in_dim, out_dim, scale) = (self.in_dim, self.out_dim, self.weight_scale);
+        // Segment group `g` weighs its levels by 2^(g·cell_bits), exact in
+        // f32, so `f32(d) · weight` is exactly `(d << shift) as f32`.
+        let group_weights: Vec<f32> = (0i32..)
+            .zip(&self.groups)
+            .map(|(g, _)| 2f32.powi(g * i32::from(self.cell_bits)))
+            .collect();
+        let mut out = vec![0.0f32; out_dim * in_dim];
+        // Word line `i` of every member, in `crossbars()` order.
+        let mut lines = vec![0u8; self.crossbar_count() * out_dim];
+        // A band of word lines is summed `[line][out]`, then written out
+        // transposed.
+        let mut band = vec![0.0f32; BAND * out_dim];
+        for i0 in (0..in_dim).step_by(BAND) {
+            let band = band
+                .get_mut(..BAND.min(in_dim - i0) * out_dim)
+                .unwrap_or_default();
+            for (i, sums) in (i0..).zip(band.chunks_exact_mut(out_dim)) {
+                // Reads go through the analog path, so stuck cells corrupt
+                // what comes back.
+                for (xbar, line) in self.crossbars().zip(lines.chunks_exact_mut(out_dim)) {
+                    xbar.read_row(i, line);
+                }
+                sums.fill(0.0);
+                for (pair, &gw) in lines.chunks_exact(2 * out_dim).zip(&group_weights) {
+                    let (pos, neg) = pair.split_at(out_dim);
+                    for ((v, &p), &n) in sums.iter_mut().zip(pos).zip(neg) {
+                        *v += f32::from(i16::from(p) - i16::from(n)) * gw * scale;
+                    }
+                }
+                for (v, &masked) in sums.iter_mut().zip(&self.masked_outputs) {
+                    if masked {
+                        *v = 0.0;
                     }
                 }
             }
+            scatter_transposed(band, out_dim, &mut out, in_dim, i0);
         }
         out
     }
@@ -532,7 +559,12 @@ impl ReramMatrix {
         }
         let in_qmax = ((1u64 << self.data_bits) - 1) as f32 / 2.0;
         let x_scale = absmax / in_qmax;
-        let q: Vec<i64> = x.iter().map(|&v| (v / x_scale).round() as i64).collect();
+        // |v / x_scale| is in_qmax at most (up to rounding), below 2^31 for
+        // data_bits ≤ 31, so the clamp never binds.
+        let mut q = vec![0i64; x.len()];
+        for (qv, &v) in q.iter_mut().zip(x) {
+            *qv = i64::from(round_clamped(v / x_scale, i32::MAX));
+        }
 
         let mut acc = vec![0i64; self.out_dim];
         for sign in [1i64, -1] {
@@ -601,27 +633,32 @@ impl ReramMatrix {
         }
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
         let cell_bits = u32::from(self.cell_bits);
+        let members = || self.groups.iter().flat_map(|(p, n)| [p, n]);
         let fused = &mut self.fused;
         fused.stamps.clear();
+        fused.stamps.extend(members().map(Crossbar::generation));
         fused.w.clear();
         fused.w.resize(in_dim * out_dim, 0);
         fused.row_sums.clear();
         fused.row_sums.resize(self.groups.len() * 2 * in_dim, 0);
-        let mut sums = fused.row_sums.chunks_exact_mut(in_dim);
-        let mut row = vec![0u8; out_dim];
-        for (g, (pos, neg)) in (0u32..).zip(&self.groups) {
-            let shift = g * cell_bits;
-            for (xbar, sign) in [(pos, 1i32), (neg, -1)] {
-                let row_sums = sums.next().into_iter().flatten();
-                let w_rows = fused.w.chunks_exact_mut(out_dim).enumerate();
-                for ((r, w_row), sum) in w_rows.zip(row_sums) {
-                    xbar.read_row(r, &mut row);
-                    for (w, &l) in w_row.iter_mut().zip(&row) {
-                        *w += sign * (i32::from(l) << shift);
-                    }
-                    *sum = row.iter().map(|&l| u32::from(l)).sum();
+        // Word line `r` of every member, in `crossbars()` order.
+        let mut lines = vec![0u8; 2 * self.groups.len() * out_dim];
+        for (r, w_row) in fused.w.chunks_exact_mut(out_dim).enumerate() {
+            for (xbar, line) in members().zip(lines.chunks_exact_mut(out_dim)) {
+                xbar.read_row(r, line);
+            }
+            for (shift, pair) in (0..)
+                .step_by(cell_bits as usize)
+                .zip(lines.chunks_exact(2 * out_dim))
+            {
+                let (pos, neg) = pair.split_at(out_dim);
+                for ((w, &p), &n) in w_row.iter_mut().zip(pos).zip(neg) {
+                    *w += (i32::from(p) - i32::from(n)) << shift;
                 }
-                fused.stamps.push(xbar.generation());
+            }
+            let sums = fused.row_sums.iter_mut().skip(r).step_by(in_dim);
+            for (sum, line) in sums.zip(lines.chunks_exact(out_dim)) {
+                *sum = line.iter().map(|&l| u32::from(l)).sum();
             }
         }
     }
@@ -660,6 +697,54 @@ impl ReramMatrix {
     pub fn crossbar_count(&self) -> usize {
         self.groups.len() * 2
     }
+}
+
+/// Rows per band of the transposing passes ([`ReramMatrix::read`] and the
+/// write-path quantizer): a band is computed row-major into a small buffer,
+/// then written out in contiguous runs of this length.
+const BAND: usize = 16;
+
+/// Writes `band` (rows of `width`, row-major) transposed into the columns
+/// of `dst` (`width` rows of `dst_cols`) starting at `col0`:
+/// `dst[j][col0 + k] = band[k][j]`.
+fn scatter_transposed<T: Copy>(
+    band: &[T],
+    width: usize,
+    dst: &mut [T],
+    dst_cols: usize,
+    col0: usize,
+) {
+    let n = band.len() / width;
+    for (j, dst_row) in dst.chunks_exact_mut(dst_cols).enumerate() {
+        let column = band.get(j..).unwrap_or_default().iter().step_by(width);
+        let run = dst_row.get_mut(col0..col0 + n).unwrap_or_default();
+        for (d, &v) in run.iter_mut().zip(column) {
+            *d = v;
+        }
+    }
+}
+
+/// `((x.round() as i64).clamp(-qmax, qmax)) as i32`, bit for bit, without
+/// the libm `round` call or a saturating float-to-int conversion, so a loop
+/// over it vectorises. Rounding is half away from zero like
+/// [`f32::round`]; NaN maps to 0.
+fn round_clamped(x: f32, qmax: i32) -> i32 {
+    // Adding 1.5·2^52 to an f64 below 2^51 in magnitude rounds it half to
+    // even and leaves the integer in the low mantissa bits.
+    const SHIFTER: f64 = 6_755_399_441_055_744.0;
+    let lim = f64::from(qmax);
+    let x = f64::from(x);
+    // Beyond ±qmax the result saturates either way.
+    let x = if x.is_nan() { 0.0 } else { x.clamp(-lim, lim) };
+    let even = (x + SHIFTER) - SHIFTER;
+    // `x - even` is exact; ±0.5 marks a tie, which goes away from zero.
+    let r = if (x - even).abs() == 0.5 {
+        x + 0.5f64.copysign(x)
+    } else {
+        even
+    };
+    let v = (r + SHIFTER).to_bits().wrapping_sub(SHIFTER.to_bits()) as i64;
+    i32::try_from(v).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -718,6 +803,37 @@ mod tests {
             .collect()
     }
 
+    /// The per-group read-out the one-pass `read` replaced: each segment
+    /// group in turn, each word line read on both arrays and accumulated
+    /// into a strided column of the `[out][in]` result. The differential
+    /// reference for `read`.
+    fn read_reference(m: &ReramMatrix) -> Vec<f32> {
+        let mut out = vec![0.0f32; m.out_dim * m.in_dim];
+        let (mut p_row, mut n_row) = (vec![0u8; m.out_dim], vec![0u8; m.out_dim]);
+        for (g, (pos, neg)) in m.groups.iter().enumerate() {
+            let shift = g as u32 * m.cell_bits as u32;
+            for i in 0..m.in_dim {
+                pos.read_row(i, &mut p_row);
+                neg.read_row(i, &mut n_row);
+                let cells = p_row.iter().zip(&n_row).zip(&m.masked_outputs);
+                for (v, ((&p, &n), &masked)) in out.iter_mut().skip(i).step_by(m.in_dim).zip(cells)
+                {
+                    if !masked {
+                        let d = i64::from(p) - i64::from(n);
+                        *v += (d << shift) as f32 * m.weight_scale;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_read_matches_reference(m: &ReramMatrix) {
+        let got: Vec<u32> = m.read().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = read_reference(m).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "read diverges from the per-group reference");
+    }
+
     /// One step of a differential sequence.
     #[derive(Clone)]
     enum Op {
@@ -749,7 +865,12 @@ mod tests {
             }
             outs.append(&mut m.matvec_batch(&std::mem::take(&mut pending)));
             match op {
-                Op::Write(w) => m.write(w),
+                Op::Write(w) => match kernel {
+                    Kernel::Reference => write_reference(m, w, |x, l| {
+                        x.program_reference(&l.concat());
+                    }),
+                    Kernel::Fused | Kernel::Batched => m.write(w),
+                },
                 Op::Advance(n) => m.advance_cycles(*n),
                 Op::Matvec(_) => {}
             }
@@ -758,32 +879,33 @@ mod tests {
         outs
     }
 
-    /// Spike counters, noise read epoch, and the level every cell presents
-    /// next.
-    type ReadState = ((u64, u64, u64), Option<u64>, Vec<u8>);
+    /// The level every cell presents next, and the full write state
+    /// (stored levels, spike counters, faults, drift/noise/wear history).
+    type MemberState = (Vec<u8>, String);
 
-    /// Everything each member crossbar exposes about its reads so far.
-    fn member_state(m: &ReramMatrix) -> Vec<ReadState> {
+    /// Everything each member crossbar exposes about its reads and writes
+    /// so far.
+    fn member_state(m: &ReramMatrix) -> Vec<MemberState> {
         m.crossbars()
             .map(|x| {
                 let levels = (0..x.rows())
                     .flat_map(|r| (0..x.cols()).map(move |c| (r, c)))
                     .map(|(r, c)| x.effective_level(r, c))
                     .collect();
-                (
-                    x.spike_counters(),
-                    x.noise_state().map(|n| n.reads()),
-                    levels,
-                )
+                (levels, x.written_state())
             })
             .collect()
     }
 
     /// Runs `ops` through the fused, batched and per-crossbar kernels on
-    /// clones of `m` and asserts bitwise-equal outputs and member state.
+    /// clones of `m` and asserts bitwise-equal outputs and member state;
+    /// the reference kernel also programs cell by cell. The read-out is
+    /// pinned against its per-group reference before and after.
     fn assert_kernels_agree(m: &ReramMatrix, ops: &[Op]) {
+        assert_read_matches_reference(m);
         let mut reference = m.clone();
         let want = run(&mut reference, ops, Kernel::Reference);
+        assert_read_matches_reference(&reference);
         for kernel in [Kernel::Fused, Kernel::Batched] {
             let mut got_m = m.clone();
             let got = run(&mut got_m, ops, kernel);
@@ -1232,7 +1354,7 @@ mod tests {
         for w in [&w2, &w1, &w2, &w1] {
             got.write(w);
             write_reference(&mut want, w, |x, l| {
-                x.program(l);
+                x.program_reference(&l.concat());
             });
         }
         assert_eq!(got.weight_scale().to_bits(), want.weight_scale().to_bits());
@@ -1259,6 +1381,41 @@ mod tests {
             want_rng.random::<u64>(),
             "both paths must consume the same RNG draws"
         );
+    }
+
+    /// `round_clamped` against the libm formula it replaces, at several
+    /// word widths: a stride through all f32 bit patterns (both signs,
+    /// subnormals, infinities, NaNs) plus ties and clamp edges.
+    #[test]
+    fn round_clamped_matches_libm_round() {
+        let formula = |x: f32, qmax: i32| {
+            let q = i64::from(qmax);
+            ((x.round() as i64).clamp(-q, q)) as i32
+        };
+        for qmax in [1, 7, 127, 32_767, (1 << 23) - 1, (1 << 30) - 1, i32::MAX] {
+            let lim = qmax as f32;
+            let mut xs: Vec<f32> = (0..=u32::MAX).step_by(65_521).map(f32::from_bits).collect();
+            for base in [0.0f32, 1.0, 2.0, 4_194_304.0, 8_388_607.0, lim] {
+                for d in [-1.5f32, -0.5, -0.25, 0.0, 0.25, 0.5, 1.5] {
+                    xs.extend([base + d, -(base + d)]);
+                }
+            }
+            xs.extend([
+                0.499_999_97,
+                -0.499_999_97,
+                2_147_483_648.0,
+                f32::MAX,
+                f32::NAN,
+            ]);
+            xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE, -0.0]);
+            for x in xs {
+                assert_eq!(
+                    round_clamped(x, qmax),
+                    formula(x, qmax),
+                    "x = {x:e}, qmax = {qmax}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -53,6 +53,14 @@ impl ReramCell {
         }
     }
 
+    /// A `bits`-bit cell already holding `level` (saturated at its top
+    /// level) — the single-cell view of one level stored in a crossbar.
+    pub(crate) fn at_level(bits: u8, level: u8) -> Self {
+        let mut cell = ReramCell::new(bits);
+        cell.level = level.min(cell.max_level());
+        cell
+    }
+
     /// Cell resolution in bits.
     pub fn bits(&self) -> u8 {
         self.bits

@@ -30,11 +30,20 @@ fn fresh_generation() -> u64 {
 ///
 /// The struct also counts input/output/programming spikes, the quantities
 /// the energy model (Sec. 6.2 constants) is built on.
+///
+/// Cells are stored flat: one level byte per cell, row-major, with the
+/// resolution held once for the whole array. The per-cell loops of plain
+/// programming and read-out run over that byte slice; the stochastic paths
+/// (verify, scrub, spare remap) lift a stored level into the single-cell
+/// model [`ReramCell`] and store the level it leaves.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     rows: usize,
     cols: usize,
-    cells: Vec<ReramCell>, // row-major
+    /// Cell resolution in bits, `1..=8`, shared by every cell.
+    bits: u8,
+    /// Stored (intent) level of every cell, row-major.
+    levels: Vec<u8>,
     /// Persistent stuck-at/dead cells; `None` for an ideal array.
     faults: Option<FaultMap>,
     /// Time-dependent degradation (retention drift + read disturb);
@@ -73,7 +82,8 @@ impl Crossbar {
         Crossbar {
             rows,
             cols,
-            cells: vec![ReramCell::new(bits); rows * cols],
+            bits: ReramCell::new(bits).bits(),
+            levels: vec![0; rows * cols],
             faults: None,
             drift: None,
             noise: None,
@@ -201,6 +211,35 @@ impl Crossbar {
         }
     }
 
+    /// Books the history of a write that landed `pulses > 0` programming
+    /// pulses on `(row, col)`: the drift clock and the noise device deviate
+    /// restart, and the pulses wear the cell (possibly killing it). A
+    /// zero-pulse write leaves the physical cell untouched, so callers skip
+    /// it: its degradation clock keeps running and its deviate stays.
+    fn note_written(&mut self, row: usize, col: usize, pulses: u64) {
+        if let Some(d) = self.drift.as_mut() {
+            d.note_program(row, col);
+        }
+        if let Some(n) = self.noise.as_mut() {
+            n.note_program(row, col);
+        }
+        self.note_wear_pulses(row, col, pulses);
+    }
+
+    /// Whether any attached model keeps per-cell write history (drift,
+    /// noise, wear) — without one, a write needs no per-cell bookkeeping.
+    fn tracks_writes(&self) -> bool {
+        self.drift.is_some() || self.noise.is_some() || self.wear.is_some()
+    }
+
+    /// Top level of the array's cells. Every write that takes a target
+    /// level (plain, verified, checkpoint restore) saturates it here in
+    /// release, so a verify report books the level the cell is actually
+    /// driven to; the programming paths debug-check over-range targets.
+    fn max_level(&self) -> u8 {
+        u8::MAX >> (8 - self.bits)
+    }
+
     /// Advances the degradation clock by `cycles` logical pipeline cycles
     /// (one processed image = one cycle). No-op without an attached model.
     pub fn advance_cycles(&mut self, cycles: u64) {
@@ -217,19 +256,14 @@ impl Crossbar {
         let Some(d) = self.drift.as_ref() else {
             return 0;
         };
-        let mut n = 0;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if self.faults.as_ref().and_then(|f| f.get(r, c)).is_some() {
-                    continue;
-                }
-                let cell = &self.cells[r * self.cols + c];
-                if d.is_degraded(r, c, cell.level(), cell.max_level()) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        let top = self.max_level();
+        let rows = self.levels.chunks_exact(self.cols).enumerate();
+        rows.flat_map(|(r, row)| row.iter().enumerate().map(move |(c, &l)| (r, c, l)))
+            .filter(|&(r, c, l)| {
+                self.faults.as_ref().and_then(|f| f.get(r, c)).is_none()
+                    && d.is_degraded(r, c, l, top)
+            })
+            .count()
     }
 
     /// Clears every fault in bit line `col` — the crossbar-level view of a
@@ -262,8 +296,7 @@ impl Crossbar {
         if col >= self.cols {
             return report;
         }
-        let bits = self.cell_bits();
-        // Intent levels survive in the cells even when a fault pinned the
+        // Intent levels survive in storage even when a fault pinned the
         // physical reads (program paths keep tracking the target).
         let targets: Vec<u8> = (0..self.rows).map(|r| self.level(r, col)).collect();
         if let Some(f) = self.faults.as_mut() {
@@ -274,32 +307,27 @@ impl Crossbar {
         }
         for (r, &target) in targets.iter().enumerate() {
             let idx = r * self.cols + col;
-            let Some(cell) = self.cells.get_mut(idx) else {
+            let Some(stored) = self.levels.get_mut(idx) else {
                 continue;
             };
-            *cell = ReramCell::new(bits);
-            report.ideal_pulses += u64::from(target);
+            // The spare's cell starts pristine, at level 0.
+            let mut cell = ReramCell::new(self.bits);
             let w = cell.program_verify(target, policy, rng);
+            *stored = cell.level();
+            report.ideal_pulses += u64::from(target);
             report.pulses += u64::from(w.pulses);
             report.verify_reads += u64::from(w.attempts);
             if w.pulses > 0 {
-                if let Some(d) = self.drift.as_mut() {
-                    d.note_program(r, col);
-                }
-                if let Some(n) = self.noise.as_mut() {
-                    n.note_program(r, col);
-                }
                 // The spare itself wears; an unlucky budget draw can die
                 // during its very first reprogram and re-enter the ladder.
-                self.note_wear_pulses(r, col, u64::from(w.pulses));
+                self.note_written(r, col, u64::from(w.pulses));
             }
             if !w.verified {
-                let actual = self.level(r, col);
                 report.unrecoverable.push(UnrecoverableCell {
                     row: r,
                     col,
                     target,
-                    actual,
+                    actual: cell.level(),
                 });
             }
         }
@@ -321,7 +349,7 @@ impl Crossbar {
 
     /// Row-major stored (intent) levels — what a checkpoint persists.
     pub fn stored_levels(&self) -> Vec<u8> {
-        self.cells.iter().map(|c| c.level()).collect()
+        self.levels.clone()
     }
 
     /// Overwrites the stored levels in place. Checkpoint restore only: no
@@ -329,11 +357,12 @@ impl Crossbar {
     /// runs. Returns `false` (untouched) on a geometry mismatch; over-range
     /// levels clamp to the cell's top level.
     pub fn restore_levels(&mut self, levels: &[u8]) -> bool {
-        if levels.len() != self.rows * self.cols {
+        if levels.len() != self.levels.len() {
             return false;
         }
-        for (cell, &lvl) in self.cells.iter_mut().zip(levels) {
-            let _ = cell.program(lvl.min(cell.max_level()));
+        let top = self.max_level();
+        for (stored, &lvl) in self.levels.iter_mut().zip(levels) {
+            *stored = lvl.min(top);
         }
         self.invalidate();
         true
@@ -378,13 +407,13 @@ impl Crossbar {
 
     /// Cell resolution in bits.
     pub fn cell_bits(&self) -> u8 {
-        self.cells[0].bits()
+        self.bits
     }
 
     /// Level the programming logic last stored at `(row, col)` (what the
     /// write *wanted*; faults are not applied).
     pub fn level(&self, row: usize, col: usize) -> u8 {
-        self.cells[row * self.cols + col].level()
+        self.levels[row * self.cols + col]
     }
 
     /// Level the cell at `(row, col)` actually presents on a read: the
@@ -393,16 +422,16 @@ impl Crossbar {
     /// fault/drift-resolved level — a stuck cell's pinned conductance
     /// still crosses the same noisy wires.
     pub fn effective_level(&self, row: usize, col: usize) -> u8 {
-        let cell = &self.cells[row * self.cols + col];
+        let (stored, top) = (self.level(row, col), self.max_level());
         let base = match self.faults.as_ref().and_then(|f| f.get(row, col)) {
-            Some(kind) => kind.effective_level(cell.max_level()),
+            Some(kind) => kind.effective_level(top),
             None => match self.drift.as_ref() {
-                Some(d) => d.effective_level(row, col, cell.level(), cell.max_level()),
-                None => cell.level(),
+                Some(d) => d.effective_level(row, col, stored, top),
+                None => stored,
             },
         };
         match self.noise.as_ref() {
-            Some(n) => n.effective_level(row, col, base, cell.max_level()),
+            Some(n) => n.effective_level(row, col, base, top),
             None => base,
         }
     }
@@ -412,7 +441,8 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols` or any level is over-range.
+    /// Panics if `levels` is not `rows × cols`; an over-range level is
+    /// debug-checked (release saturates it at the top level).
     pub fn program(&mut self, levels: &[Vec<u8>]) -> u64 {
         self.program_flat(&self.flatten_levels(levels))
     }
@@ -427,40 +457,59 @@ impl Crossbar {
         levels.concat()
     }
 
+    /// Debug-checks a write request against the cell resolution.
+    fn debug_check_levels(&self, levels: &[u8]) {
+        debug_assert!(
+            levels.iter().all(|&l| l <= self.max_level()),
+            "level exceeds {}-bit cell",
+            self.bits
+        );
+    }
+
     /// [`program`](Self::program) from a flat row-major level slice — the
-    /// one programming body; cells are visited in row-major order.
+    /// one programming body.
+    ///
+    /// One branch-free pass saturates each target at the top level, counts
+    /// its tuning pulses (the level distance) and stores it. Only when an
+    /// attached model keeps per-cell write history does a second pass then
+    /// walk, in row-major order, the cells that received pulses. Splitting
+    /// the passes is exact: plain programming never consults the fault
+    /// map, so a wear death raised in the second pass cannot change a level
+    /// the first one stored.
     ///
     /// # Panics
     ///
-    /// Panics if `levels.len() != rows × cols`.
+    /// Panics if `levels.len() != rows × cols`; an over-range level is
+    /// debug-checked (release saturates it).
     pub(crate) fn program_flat(&mut self, levels: &[u8]) -> u64 {
         assert_eq!(
             levels.len(),
-            self.rows * self.cols,
+            self.levels.len(),
             "level matrix size mismatch"
         );
+        self.debug_check_levels(levels);
+        let top = self.max_level();
+        let before = self.tracks_writes().then(|| self.levels.clone());
         let mut pulses = 0u64;
-        // Only drift, noise and wear keep per-cell write history.
-        let tracked = self.drift.is_some() || self.noise.is_some() || self.wear.is_some();
-        for (idx, &lvl) in levels.iter().enumerate() {
-            let Some(cell) = self.cells.get_mut(idx) else {
-                continue;
-            };
-            let p = u64::from(cell.program(lvl));
-            if p > 0 && tracked {
-                // A zero-pulse write leaves the physical cell untouched, so
-                // its degradation clock keeps running and its device
-                // deviate stays.
-                let (r, c) = (idx / self.cols, idx % self.cols);
-                if let Some(d) = self.drift.as_mut() {
-                    d.note_program(r, c);
-                }
-                if let Some(n) = self.noise.as_mut() {
-                    n.note_program(r, c);
-                }
-                self.note_wear_pulses(r, c, p);
+        // u32 partial sums per chunk (≤ 255 per cell) keep the pass
+        // vector-width; one chunk cannot overflow them.
+        for (stored, targets) in self.levels.chunks_mut(1 << 16).zip(levels.chunks(1 << 16)) {
+            let mut chunk = 0u32;
+            for (s, &target) in stored.iter_mut().zip(targets) {
+                let target = target.min(top);
+                chunk += u32::from(s.abs_diff(target));
+                *s = target;
             }
-            pulses += p;
+            pulses += u64::from(chunk);
+        }
+        if let Some(before) = before {
+            let cols = self.cols;
+            for (idx, (&was, &target)) in before.iter().zip(levels).enumerate() {
+                let p = was.abs_diff(target.min(top));
+                if p > 0 {
+                    self.note_written(idx / cols, idx % cols, u64::from(p));
+                }
+            }
         }
         self.write_spikes += pulses;
         self.invalidate();
@@ -477,7 +526,8 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `levels` is not `rows × cols` or any level is over-range.
+    /// Panics if `levels` is not `rows × cols`; an over-range level is
+    /// debug-checked (release saturates it at the top level).
     pub fn program_verify(
         &mut self,
         levels: &[Vec<u8>],
@@ -505,65 +555,57 @@ impl Crossbar {
             self.rows * self.cols,
             "level matrix size mismatch"
         );
+        self.debug_check_levels(levels);
+        let top = self.max_level();
         let mut report = ProgramReport::default();
         for (idx, &target) in levels.iter().enumerate() {
             let (r, c) = (idx / self.cols, idx % self.cols);
-            let prev = self.cells[idx].level();
-            report.ideal_pulses += (prev as i32 - target as i32).unsigned_abs() as u64;
-            match self.faults.as_ref().and_then(|f| f.get(r, c)) {
+            let target = target.min(top);
+            let prev = self.levels[idx];
+            report.ideal_pulses += u64::from(prev.abs_diff(target));
+            let fault = self.faults.as_ref().and_then(|f| f.get(r, c));
+            let (pulses, attempts, actual) = match fault {
                 Some(kind) => {
-                    // The driver pulses and verifies up to the budget,
-                    // but the cell never moves.
-                    let actual = kind.effective_level(self.cells[idx].max_level());
-                    let wasted = if actual == target {
-                        // Fault happens to pin the cell at the target:
-                        // first verify passes, no pulses needed.
-                        report.verify_reads += 1;
-                        0
+                    // The driver pulses and verifies up to the budget, but
+                    // the cell never moves; a fault that happens to pin it
+                    // at the target passes the first verify with no pulses.
+                    let actual = kind.effective_level(top);
+                    let (wasted, attempts) = if actual == target {
+                        (0, 1)
                     } else {
-                        report.verify_reads += policy.max_attempts as u64;
-                        report.unrecoverable.push(UnrecoverableCell {
-                            row: r,
-                            col: c,
-                            target,
-                            actual,
-                        });
-                        policy.max_attempts as u64
+                        (u64::from(policy.max_attempts), policy.max_attempts)
                     };
-                    report.pulses += wasted;
                     // The wasted retry pulses still stress the pinned
                     // cell's oxide.
                     self.note_wear_pulses(r, c, wasted);
-                    // Track the intent so a later repair + rewrite
-                    // starts from the right place.
-                    self.cells[idx].program(target);
+                    // Track the intent so a later repair + rewrite starts
+                    // from the right place.
+                    self.levels[idx] = target;
+                    (wasted, attempts, actual)
                 }
                 None => {
-                    let w = self.cells[idx].program_verify(target, policy, rng);
+                    let mut cell = ReramCell::at_level(self.bits, prev);
+                    let w = cell.program_verify(target, policy, rng);
+                    self.levels[idx] = cell.level();
                     if w.pulses > 0 {
-                        if let Some(d) = self.drift.as_mut() {
-                            d.note_program(r, c);
-                        }
-                        if let Some(n) = self.noise.as_mut() {
-                            n.note_program(r, c);
-                        }
-                        // Every pulse (including verify retries) wears
-                        // the cell; a budget crossing kills it for all
+                        // Every pulse (including verify retries) wears the
+                        // cell; a budget crossing kills it for all
                         // *subsequent* accesses — this write's charge
                         // already landed.
-                        self.note_wear_pulses(r, c, u64::from(w.pulses));
+                        self.note_written(r, c, u64::from(w.pulses));
                     }
-                    report.pulses += w.pulses as u64;
-                    report.verify_reads += w.attempts as u64;
-                    if !w.verified {
-                        report.unrecoverable.push(UnrecoverableCell {
-                            row: r,
-                            col: c,
-                            target,
-                            actual: self.cells[idx].level(),
-                        });
-                    }
+                    (u64::from(w.pulses), w.attempts, cell.level())
                 }
+            };
+            report.pulses += pulses;
+            report.verify_reads += u64::from(attempts);
+            if actual != target {
+                report.unrecoverable.push(UnrecoverableCell {
+                    row: r,
+                    col: c,
+                    target,
+                    actual,
+                });
             }
         }
         self.write_spikes += report.pulses;
@@ -583,7 +625,7 @@ impl Crossbar {
             })
         } else {
             BitPlanes::pack(self.rows, self.cols, self.cell_bits(), |r, c| {
-                self.cells[r * self.cols + c].level()
+                self.level(r, c)
             })
         }
     }
@@ -696,13 +738,13 @@ impl Crossbar {
                 *lvl = self.effective_level(r, c);
             }
         } else {
-            let cells = self
-                .cells
-                .chunks_exact(self.cols)
-                .nth(r)
+            let start = r * self.cols;
+            let stored = self
+                .levels
+                .get(start..start + self.cols)
                 .unwrap_or_default();
-            for (lvl, cell) in row.iter_mut().zip(cells) {
-                *lvl = cell.level();
+            for (lvl, &l) in row.iter_mut().zip(stored) {
+                *lvl = l;
             }
         }
     }
@@ -739,10 +781,10 @@ impl Crossbar {
                 }
                 let base = r * self.cols;
                 for (c, inf) in fires.iter_mut().enumerate() {
-                    let g = match &eff {
+                    let g = u64::from(match &eff {
                         Some(levels) => levels[base + c],
-                        None => self.cells[base + c].level(),
-                    } as u64;
+                        None => self.levels[base + c],
+                    });
                     if g != 0 {
                         inf.integrate(g * w);
                     }
@@ -793,38 +835,31 @@ impl Crossbar {
         for i in 0..row_count.min(self.rows) {
             let r = (row_start + i) % self.rows;
             for c in 0..self.cols {
-                let idx = r * self.cols + c;
                 if self.faults.as_ref().and_then(|f| f.get(r, c)).is_some() {
                     report.verify_reads += 1;
                     continue;
                 }
-                let target = self.cells[idx].level();
+                let target = self.level(r, c);
                 let actual = self.effective_level(r, c);
                 // Materialize the degradation in the cell, then drive it
                 // back through the standard verify loop. A clean cell
                 // costs exactly one verify read and zero pulses.
-                let _ = self.cells[idx].program(actual);
-                let w = self.cells[idx].program_verify(target, policy, rng);
-                report.ideal_pulses +=
-                    u64::from((i32::from(actual) - i32::from(target)).unsigned_abs());
+                let mut cell = ReramCell::at_level(self.bits, actual);
+                let w = cell.program_verify(target, policy, rng);
+                self.levels[r * self.cols + c] = cell.level();
+                report.ideal_pulses += u64::from(actual.abs_diff(target));
                 report.pulses += u64::from(w.pulses);
                 report.verify_reads += u64::from(w.attempts);
                 if w.pulses > 0 {
-                    if let Some(d) = self.drift.as_mut() {
-                        d.note_program(r, c);
-                    }
-                    if let Some(n) = self.noise.as_mut() {
-                        n.note_program(r, c);
-                    }
                     // Scrub re-pulses wear cells out like any other write.
-                    self.note_wear_pulses(r, c, u64::from(w.pulses));
+                    self.note_written(r, c, u64::from(w.pulses));
                 }
                 if !w.verified {
                     report.unrecoverable.push(UnrecoverableCell {
                         row: r,
                         col: c,
                         target,
-                        actual: self.cells[idx].level(),
+                        actual: cell.level(),
                     });
                 }
             }
@@ -848,6 +883,52 @@ impl Crossbar {
     /// Output spikes fired so far.
     pub fn output_spikes(&self) -> u64 {
         self.output_spikes
+    }
+}
+
+#[cfg(test)]
+impl Crossbar {
+    /// The per-cell programming loop the branch-free
+    /// [`program_flat`](Self::program_flat) replaced, kept as its
+    /// differential reference: each cell goes through
+    /// [`ReramCell::program`] and books its write history right after, in
+    /// row-major order.
+    pub(crate) fn program_reference(&mut self, levels: &[u8]) -> u64 {
+        assert_eq!(
+            levels.len(),
+            self.levels.len(),
+            "level matrix size mismatch"
+        );
+        let mut pulses = 0u64;
+        for (idx, &lvl) in levels.iter().enumerate() {
+            let mut cell = ReramCell::at_level(self.bits, self.levels[idx]);
+            let p = u64::from(cell.program(lvl));
+            self.levels[idx] = cell.level();
+            if p > 0 && self.tracks_writes() {
+                self.note_written(idx / self.cols, idx % self.cols, p);
+            }
+            pulses += p;
+        }
+        self.write_spikes += pulses;
+        self.invalidate();
+        pulses
+    }
+
+    /// Everything a write can change, for bitwise comparisons: stored
+    /// levels, spike counters, the fault map, and the drift, noise and wear
+    /// history.
+    pub(crate) fn written_state(&self) -> String {
+        format!(
+            "{:?}",
+            (
+                &self.levels,
+                self.spike_counters(),
+                &self.faults,
+                &self.drift,
+                &self.noise,
+                &self.wear,
+            )
+        )
     }
 }
 
@@ -1503,8 +1584,149 @@ mod tests {
         );
     }
 
+    /// A `rows × cols` crossbar of `bits`-bit cells carrying the device
+    /// stack `models` selects: bit 0 drift (with read disturb), bit 1
+    /// noise, bit 2 wear with budgets short enough that cells die in the
+    /// middle of a write.
+    fn stacked(rows: usize, cols: usize, bits: u8, models: u8, seed: u64) -> Crossbar {
+        use crate::drift::DriftModel;
+        use crate::noise::NoiseModel;
+        let mut x = Crossbar::new(rows, cols, bits);
+        if models & 1 == 1 {
+            let drift = DriftModel {
+                nu: 0.1,
+                nu_sigma: 0.05,
+                t0_cycles: 8,
+                disturb_per_level: 40,
+            };
+            x.attach_drift(drift, seed);
+        }
+        if models & 2 == 2 {
+            x.attach_noise(NoiseModel::with_strength(1.0), seed);
+        }
+        if models & 4 == 4 {
+            let wear = WearModel {
+                median_writes: 12.0,
+                sigma: 0.5,
+            };
+            x.attach_wear(wear, seed);
+        }
+        x
+    }
+
+    /// Runs `writes` through the branch-free body and the per-cell
+    /// reference on two clones of `x` (ticking the clock between writes)
+    /// and asserts equal pulse counts and bitwise-equal write state.
+    fn assert_program_matches_reference(x: &Crossbar, writes: &[Vec<u8>]) -> Crossbar {
+        let (mut got, mut want) = (x.clone(), x.clone());
+        for (k, levels) in writes.iter().enumerate() {
+            assert_eq!(
+                got.program_flat(levels),
+                want.program_reference(levels),
+                "write {k}: pulse counts diverge"
+            );
+            assert_eq!(
+                got.written_state(),
+                want.written_state(),
+                "write {k}: state diverges from the per-cell reference"
+            );
+            got.advance_cycles(500);
+            want.advance_cycles(500);
+        }
+        got
+    }
+
+    /// Largest target level the differential tests request: over-range
+    /// targets in release, where programming saturates them; in range
+    /// under debug assertions, where they are rejected.
+    fn max_target(bits: u8) -> u8 {
+        if cfg!(debug_assertions) {
+            u8::MAX >> (8 - bits)
+        } else {
+            u8::MAX
+        }
+    }
+
+    #[test]
+    fn branch_free_program_matches_reference_through_wear_deaths() {
+        use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let (rows, cols, bits) = (9, 7, 4);
+        let writes: Vec<Vec<u8>> = (0..6)
+            .map(|_| {
+                (0..rows * cols)
+                    .map(|_| rng.random_range(0..=max_target(bits)))
+                    .collect()
+            })
+            .collect();
+        let got = assert_program_matches_reference(&stacked(rows, cols, bits, 7, 32), &writes);
+        assert!(
+            got.wear_state().is_some_and(|w| w.exhausted_cells() > 0),
+            "the rewrites must kill cells mid-sequence"
+        );
+    }
+
+    /// Release-profile contract: an over-range target saturates once, at
+    /// the crossbar, for plain, verified and restored writes alike, so a
+    /// verify report books the level the cell is actually driven to.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn overrange_targets_saturate_at_the_crossbar_in_release() {
+        use crate::fault::FaultKind;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut x = Crossbar::new(1, 2, 4);
+        let mut map = FaultMap::pristine(1, 2);
+        map.set(0, 1, FaultKind::StuckAtMax);
+        x.attach_faults(map);
+        let mut rng = StdRng::seed_from_u64(0);
+        let report = x.program_verify(&[vec![20, 20]], &VerifyPolicy::default(), &mut rng);
+        // The healthy cell takes 15 pulses to its top level, not 20; the
+        // stuck-at-max cell already presents the clamped target.
+        assert_eq!(report.ideal_pulses, 15 + 15);
+        assert_eq!(report.pulses, 15);
+        assert_eq!(report.verify_reads, 2);
+        assert!(report.unrecoverable.is_empty(), "{report:?}");
+        assert_eq!(x.stored_levels(), vec![15, 15]);
+
+        let mut y = Crossbar::new(1, 2, 4);
+        assert_eq!(y.program(&[vec![20, 3]]), 15 + 3);
+        assert_eq!(y.stored_levels(), vec![15, 3]);
+        assert!(y.restore_levels(&[200, 16]));
+        assert_eq!(y.stored_levels(), vec![15, 15]);
+    }
+
+    /// Debug twin of the release clamp: over-range targets are rejected.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeds")]
+    fn overrange_verified_target_is_debug_checked() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0);
+        Crossbar::new(1, 1, 4).program_verify(&[vec![20]], &VerifyPolicy::default(), &mut rng);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential pin: the branch-free programming body equals the
+        /// per-cell reference — levels, pulses, write spikes, drift and
+        /// noise history, wear counters and deaths — at every cell
+        /// resolution and device stack, over successive writes.
+        #[test]
+        fn branch_free_program_matches_per_cell_reference(
+            rows in 1usize..40,
+            cols in 1usize..9,
+            bits in 1u8..=8,
+            models in 0u8..8,
+            seed in 0u64..1000,
+        ) {
+            use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let writes: Vec<Vec<u8>> = (0..4)
+                .map(|_| (0..rows * cols).map(|_| rng.random_range(0..=max_target(bits))).collect())
+                .collect();
+            assert_program_matches_reference(&stacked(rows, cols, bits, models, seed), &writes);
+        }
 
         /// Differential pin: the packed hot path is bitwise identical to
         /// the scalar reference — outputs *and* spike/disturb/noise
