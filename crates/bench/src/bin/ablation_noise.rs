@@ -20,19 +20,18 @@
 //!   pure in `(seed, layer, batch)` and precedes the parallel section).
 //!   Any divergence fails the binary (exit 1).
 //!
-//! Results land in `BENCH_noise.json`. `--smoke` shrinks everything for CI.
+//! Full runs write `BENCH_noise.json`. `--smoke` shrinks everything for CI
+//! and writes nothing.
 
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::variation::{noise_sweep, VariationPoint};
 use pipelayer::{ReramNoiseHook, ScrubPolicy};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, write_results, Table};
 use pipelayer_nn::data::SyntheticMnist;
-use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::{zoo, Network};
 use pipelayer_reram::{DriftModel, NoiseModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
-use std::path::Path;
 use std::sync::Arc;
 
 /// One chip instance: the seed every device-variation stream (training
@@ -350,11 +349,7 @@ fn main() {
         threads.join(", ")
     ));
     json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_noise.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_noise.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_noise.json");
+    write_results("BENCH_noise.json", &json, smoke);
 
     // ---- Gates.
     if !deterministic {

@@ -15,22 +15,20 @@
 //!   BITWISE identical to a never-interrupted run. Any divergence fails
 //!   the binary (exit 1), which makes it a CI gate.
 //!
-//! Results land in `BENCH_resilience.json`. `--smoke` shrinks both
-//! campaigns for CI.
+//! Full runs write `BENCH_resilience.json`. `--smoke` shrinks both
+//! campaigns for CI and writes nothing.
 
 use pipelayer::endurance::{training_lifetime, EnduranceModel};
 use pipelayer::energy::EnergyModel;
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::timing::TimingModel;
 use pipelayer::{DriftReport, DriftSample, MappedNetwork, PipeLayerConfig, ScrubPolicy};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, write_results, Table};
 use pipelayer_nn::data::SyntheticMnist;
-use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{CheckpointPolicy, FitOutcome, TrainConfig, Trainer};
 use pipelayer_nn::{zoo, Network};
 use pipelayer_reram::{DriftModel, ReramParams, VerifyPolicy};
 use pipelayer_tensor::Tensor;
-use std::path::Path;
 
 const DIMS: [usize; 3] = [49, 16, 10];
 const SEED: u64 = 5;
@@ -342,11 +340,7 @@ fn main() {
         kills.join(", ")
     ));
     json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_resilience.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_resilience.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_resilience.json");
+    write_results("BENCH_resilience.json", &json, smoke);
 
     if !all_identical {
         eprintln!("kill-and-resume diverged from the uninterrupted run — failing");

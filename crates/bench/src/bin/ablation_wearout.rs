@@ -21,17 +21,16 @@
 //! the laddered arm, and every laddered arm that still holds spare
 //! columns must sit within 2 points of its no-wear baseline.
 //!
-//! Results land in `BENCH_wearout.json`. `--smoke` shrinks the run for CI.
+//! Full runs write `BENCH_wearout.json`. `--smoke` shrinks the run for CI
+//! and writes nothing.
 
 use pipelayer::functional::{downsample, ReramMlp};
 use pipelayer::{RepairPolicy, SpareBudget};
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, write_results, Table};
 use pipelayer_nn::data::SyntheticMnist;
 use pipelayer_nn::metrics::DegradationReport;
-use pipelayer_nn::serialize::atomic_write;
 use pipelayer_reram::{FaultModel, ReramParams, VerifyPolicy, WearModel};
 use pipelayer_tensor::Tensor;
-use std::path::Path;
 
 const DIMS: [usize; 3] = [49, 16, 10];
 const SEED: u64 = 5;
@@ -305,11 +304,7 @@ fn main() {
         json_num(gap_points)
     ));
     json.push_str("}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_wearout.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_wearout.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_wearout.json");
+    write_results("BENCH_wearout.json", &json, smoke);
 
     if !pass {
         eprintln!("wear-out robustness gates failed");

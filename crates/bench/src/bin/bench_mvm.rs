@@ -8,12 +8,15 @@
 //! benchmark double-checks bitwise equality of every output before trusting
 //! the clock, and exits non-zero if the packed path is not at least the
 //! floor factor faster (5× full, 2.5× under `--smoke` where tiny workloads
-//! make the clock noisy). The gated figure is the *network* speedup — total
-//! scalar time over total packed time for one MVM per layer — because the
+//! make the clock noisy). The two paths are timed interleaved, in
+//! alternating blocks, so load from other processes on the host lands on
+//! both rather than on one. The gated figure is the *network* speedup —
+//! total scalar time over total packed time for one MVM per layer — because the
 //! 101×10 output layer is too small for packing to amortize its fixed
 //! per-call costs and would otherwise mask the win on the layer that
 //! carries ~98% of the work. Per-layer rates are still reported, and full
-//! runs record everything in `BENCH_mvm.json`.
+//! runs record everything in `BENCH_mvm.json` (a `--smoke` run writes
+//! nothing).
 //!
 //! A second, matrix-level row times the fused `ReramMatrix::matvec` (one
 //! exact integer product per input phase against the recombined signed
@@ -31,14 +34,19 @@
 //! scale rule, the nibble split and `Crossbar::program` on clones of the
 //! members), or the run fails; that row carries no speed floor either.
 //!
+//! A fourth row times `ReramMatrix::matvec_batch` on a batch of 64
+//! image-like fc1 inputs against the same 64 inputs through sequential
+//! `matvec` calls. Outputs and every member's spike counters must agree
+//! bit for bit, or the run fails; no speed floor.
+//!
+//! Every compared pair is timed interleaved, in alternating blocks.
+//!
 //! Single-threaded on purpose: the claim under test is the kernel's own
 //! throughput, not batch-level parallelism.
 
-use pipelayer_bench::{fmt_f, Table};
-use pipelayer_nn::serialize::atomic_write;
+use pipelayer_bench::{fmt_f, write_results, Table};
 use pipelayer_reram::{Crossbar, ReramMatrix, ReramParams};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 
 /// Input resolution of the functional training paths (time slots per MVM).
@@ -62,6 +70,12 @@ struct LayerArm {
     speedup: f64,
 }
 
+/// Blocks each timed pair is split into (see [`paired`]).
+const BLOCKS: usize = 10;
+
+/// Inputs per batch of the batch row: the functional trainers' batch.
+const BATCH: usize = 64;
+
 /// Wall-clock seconds for `reps` calls of `step` (passed the rep index).
 fn timed(reps: usize, mut step: impl FnMut(usize)) -> f64 {
     let t0 = Instant::now();
@@ -69,6 +83,26 @@ fn timed(reps: usize, mut step: impl FnMut(usize)) -> f64 {
         step(i);
     }
     t0.elapsed().as_secs_f64()
+}
+
+/// Total wall-clock seconds of `reps` calls each of `a` and `b` (passed
+/// the rep index), timed interleaved: [`BLOCKS`] blocks, `a` first in
+/// even blocks and `b` first in odd ones. A load spike on the host then
+/// lands on both totals, not on one arm's back-to-back run.
+fn paired(reps: usize, mut a: impl FnMut(usize), mut b: impl FnMut(usize)) -> (f64, f64) {
+    let (mut total_a, mut total_b) = (0.0, 0.0);
+    let per_block = reps.div_ceil(BLOCKS).max(1);
+    for (k, start) in (0..reps).step_by(per_block).enumerate() {
+        let n = per_block.min(reps - start);
+        if k % 2 == 0 {
+            total_a += timed(n, |i| a(start + i));
+            total_b += timed(n, |i| b(start + i));
+        } else {
+            total_b += timed(n, |i| b(start + i));
+            total_a += timed(n, |i| a(start + i));
+        }
+    }
+    (total_a, total_b)
 }
 
 /// SplitMix64 step — a tiny self-contained stream so the benchmark does not
@@ -193,20 +227,86 @@ fn matrix_arm(rows: usize, cols: usize, seed: u64, reps: usize) -> MatrixArm {
         eprintln!("CORRECTNESS FAILURE: fused matvec != per-crossbar composition");
     }
 
-    let fused_secs = timed(reps, |i| {
-        black_box(fused.matvec(&inputs[i % INPUT_POOL]));
-    });
-    let composed_secs = timed(reps, |i| {
-        black_box(composed_matvec(
-            &mut composed,
-            &inputs[i % INPUT_POOL],
-            &params,
-        ));
-    });
+    let (fused_secs, composed_secs) = paired(
+        reps,
+        |i| {
+            black_box(fused.matvec(&inputs[i % INPUT_POOL]));
+        },
+        |i| {
+            black_box(composed_matvec(
+                &mut composed,
+                &inputs[i % INPUT_POOL],
+                &params,
+            ));
+        },
+    );
     MatrixArm {
         fused_matvecs_per_sec: reps as f64 / fused_secs,
         composed_matvecs_per_sec: reps as f64 / composed_secs,
         speedup: composed_secs / fused_secs,
+        identical,
+    }
+}
+
+/// Timing of one batched matvec against the same inputs one by one.
+struct BatchArm {
+    batched_us_per_input: f64,
+    sequential_us_per_input: f64,
+    speedup: f64,
+    identical: bool,
+}
+
+/// Times `matvec_batch` on [`BATCH`] image-like inputs of a `rows × cols`
+/// matrix (non-negative, about a third exact zeros, the bias input 1.0
+/// last) against sequential `matvec` calls on an identically-programmed
+/// matrix; checks outputs and member spike counters before trusting the
+/// clock.
+fn batch_arm(rows: usize, cols: usize, seed: u64, reps: usize) -> BatchArm {
+    let params = ReramParams::default();
+    let mut state = seed;
+    let w: Vec<f32> = (0..rows * cols).map(|_| signed_unit(&mut state)).collect();
+    let inputs: Vec<Vec<f32>> = (0..BATCH)
+        .map(|_| {
+            (1..rows)
+                .map(|_| signed_unit(&mut state).max(-0.3) + 0.3)
+                .chain([1.0])
+                .collect()
+        })
+        .collect();
+    let mut batched = ReramMatrix::program(&w, cols, rows, &params);
+    let mut sequential = batched.clone();
+
+    let got = batched.matvec_batch(&inputs);
+    let want: Vec<Vec<f32>> = inputs.iter().map(|x| sequential.matvec(x)).collect();
+    let identical = got
+        .iter()
+        .flatten()
+        .map(|v| v.to_bits())
+        .eq(want.iter().flatten().map(|v| v.to_bits()))
+        && batched
+            .crossbars()
+            .map(Crossbar::spike_counters)
+            .eq(sequential.crossbars().map(Crossbar::spike_counters));
+    if !identical {
+        eprintln!("CORRECTNESS FAILURE: matvec_batch != sequential matvec");
+    }
+
+    let (batched_secs, sequential_secs) = paired(
+        reps,
+        |_| {
+            black_box(batched.matvec_batch(&inputs));
+        },
+        |_| {
+            for x in &inputs {
+                black_box(sequential.matvec(x));
+            }
+        },
+    );
+    let per_input = 1e6 / (reps * BATCH) as f64;
+    BatchArm {
+        batched_us_per_input: batched_secs * per_input,
+        sequential_us_per_input: sequential_secs * per_input,
+        speedup: sequential_secs / batched_secs,
         identical,
     }
 }
@@ -371,12 +471,15 @@ fn main() {
         }
 
         // Warmup already happened above (plane cache is hot, pages faulted).
-        let packed_secs = timed(reps, |i| {
-            black_box(packed_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS));
-        });
-        let scalar_secs = timed(reps, |i| {
-            black_box(scalar_xbar.mvm_spiked_scalar(&inputs[i % INPUT_POOL], INPUT_BITS));
-        });
+        let (packed_secs, scalar_secs) = paired(
+            reps,
+            |i| {
+                black_box(packed_xbar.mvm_spiked(&inputs[i % INPUT_POOL], INPUT_BITS));
+            },
+            |i| {
+                black_box(scalar_xbar.mvm_spiked_scalar(&inputs[i % INPUT_POOL], INPUT_BITS));
+            },
+        );
 
         let packed_rate = reps as f64 / packed_secs;
         let scalar_rate = reps as f64 / scalar_secs;
@@ -444,65 +547,92 @@ fn main() {
     ]);
     table.print();
 
+    // A batch is 64 matvecs, so an eighth of the reps keeps the row's
+    // time near the others'.
+    let batch = batch_arm(m_rows, m_cols, 0xBA7C, (reps / 8).max(BLOCKS));
+    all_identical &= batch.identical;
+    let mut table = Table::new(
+        format!("matvec_batch on {BATCH} inputs vs {BATCH} sequential matvecs (single thread)"),
+        &[
+            "layer",
+            "shape",
+            "batched µs/input",
+            "sequential µs/input",
+            "speedup",
+        ],
+    );
+    table.row(vec![
+        "mnist_a fc1".to_string(),
+        format!("{m_rows}x{m_cols}"),
+        fmt_f(batch.batched_us_per_input, 2),
+        fmt_f(batch.sequential_us_per_input, 2),
+        format!("{}x", fmt_f(batch.speedup, 2)),
+    ]);
+    table.print();
+
     // Network speedup: one MVM per layer (a full forward pass). Equal rep
     // counts per layer make the timed totals directly comparable.
     let scalar_total: f64 = arms.iter().map(|a| a.scalar_secs).sum();
     let packed_total: f64 = arms.iter().map(|a| a.packed_secs).sum();
     let network_speedup = scalar_total / packed_total;
 
-    if !smoke {
-        // Hand-written JSON (no serde in the workspace).
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"bench\": \"mvm\",\n");
-        json.push_str("  \"mode\": \"full\",\n");
-        json.push_str(&format!("  \"input_bits\": {INPUT_BITS},\n"));
-        json.push_str(&format!("  \"cell_bits\": {CELL_BITS},\n"));
-        json.push_str(&format!("  \"reps\": {reps},\n"));
+    // Hand-written JSON (no serde in the workspace).
+    let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"bench\": \"mvm\",\n");
+    json.push_str("  \"mode\": \"full\",\n");
+    json.push_str(&format!("  \"input_bits\": {INPUT_BITS},\n"));
+    json.push_str(&format!("  \"cell_bits\": {CELL_BITS},\n"));
+    json.push_str(&format!("  \"reps\": {reps},\n"));
+    json.push_str(&format!(
+        "  \"timing\": \"each compared pair interleaved in {BLOCKS} alternating blocks\",\n"
+    ));
+    json.push_str(&format!(
+        "  \"outputs_bitwise_identical\": {all_identical},\n"
+    ));
+    json.push_str(&format!(
+        "  \"network_speedup\": {},\n",
+        json_num(network_speedup)
+    ));
+    json.push_str(&format!("  \"speedup_floor\": {floor},\n"));
+    json.push_str("  \"layers\": [\n");
+    for (i, arm) in arms.iter().enumerate() {
         json.push_str(&format!(
-            "  \"outputs_bitwise_identical\": {all_identical},\n"
+            "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"packed_mvms_per_sec\": {}, \"scalar_mvms_per_sec\": {}, \"speedup\": {}}}{}\n",
+            arm.name,
+            arm.rows,
+            arm.cols,
+            json_num(arm.packed_mvms_per_sec),
+            json_num(arm.scalar_mvms_per_sec),
+            json_num(arm.speedup),
+            if i + 1 < arms.len() { "," } else { "" }
         ));
-        json.push_str(&format!(
-            "  \"network_speedup\": {},\n",
-            json_num(network_speedup)
-        ));
-        json.push_str(&format!("  \"speedup_floor\": {floor},\n"));
-        json.push_str("  \"layers\": [\n");
-        for (i, arm) in arms.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"layer\": \"{}\", \"rows\": {}, \"cols\": {}, \"packed_mvms_per_sec\": {}, \"scalar_mvms_per_sec\": {}, \"speedup\": {}}}{}\n",
-                arm.name,
-                arm.rows,
-                arm.cols,
-                json_num(arm.packed_mvms_per_sec),
-                json_num(arm.scalar_mvms_per_sec),
-                json_num(arm.speedup),
-                if i + 1 < arms.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n");
-        json.push_str(&format!(
-            "  \"matrix\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"data_bits\": {}, \"crossbars\": 8, \"fused_matvecs_per_sec\": {}, \"per_crossbar_matvecs_per_sec\": {}, \"speedup\": {}}},\n",
-            ReramParams::default().data_bits,
-            json_num(matrix.fused_matvecs_per_sec),
-            json_num(matrix.composed_matvecs_per_sec),
-            json_num(matrix.speedup),
-        ));
-        json.push_str(&format!(
-            "  \"writeback\": {{\"layer\": \"mnist_a fc1\", \"forward\": \"{m_rows}x{m_cols}\", \"transposed\": \"{m_cols}x{}\", \"read_us\": {}, \"write_us\": {}, \"update_us\": {}, \"levels_identical\": {}}}\n",
-            m_rows - 1,
-            json_num(writeback.read_us),
-            json_num(writeback.write_us),
-            json_num(writeback.read_us + writeback.write_us),
-            writeback.identical,
-        ));
-        json.push_str("}\n");
-        if let Err(e) = atomic_write(Path::new("BENCH_mvm.json"), json.as_bytes()) {
-            eprintln!("failed to write BENCH_mvm.json: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote BENCH_mvm.json");
     }
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"matrix\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"data_bits\": {}, \"crossbars\": 8, \"fused_matvecs_per_sec\": {}, \"per_crossbar_matvecs_per_sec\": {}, \"speedup\": {}}},\n",
+        ReramParams::default().data_bits,
+        json_num(matrix.fused_matvecs_per_sec),
+        json_num(matrix.composed_matvecs_per_sec),
+        json_num(matrix.speedup),
+    ));
+    json.push_str(&format!(
+        "  \"writeback\": {{\"layer\": \"mnist_a fc1\", \"forward\": \"{m_rows}x{m_cols}\", \"transposed\": \"{m_cols}x{}\", \"read_us\": {}, \"write_us\": {}, \"update_us\": {}, \"levels_identical\": {}}},\n",
+        m_rows - 1,
+        json_num(writeback.read_us),
+        json_num(writeback.write_us),
+        json_num(writeback.read_us + writeback.write_us),
+        writeback.identical,
+    ));
+    json.push_str(&format!(
+        "  \"batch\": {{\"layer\": \"mnist_a fc1\", \"rows\": {m_rows}, \"cols\": {m_cols}, \"batch\": {BATCH}, \"batched_us_per_input\": {}, \"sequential_us_per_input\": {}, \"speedup\": {}, \"identical\": {}}}\n",
+        json_num(batch.batched_us_per_input),
+        json_num(batch.sequential_us_per_input),
+        json_num(batch.speedup),
+        batch.identical,
+    ));
+    json.push_str("}\n");
+    write_results("BENCH_mvm.json", &json, smoke);
 
     if !all_identical {
         eprintln!("a fast path diverged from its reference — failing");
@@ -525,5 +655,9 @@ fn main() {
     println!(
         "write-back levels, scales and write spikes identical to the public-API reference; update {:.1} µs",
         writeback.read_us + writeback.write_us
+    );
+    println!(
+        "matvec_batch outputs and spike counters identical to sequential matvec; {:.2}x",
+        batch.speedup
     );
 }

@@ -7,16 +7,14 @@
 //! serial one, which makes it usable as a CI determinism gate
 //! (`--smoke` shrinks the workload for that purpose).
 //!
-//! Results are written to `BENCH_train.json` alongside the machine's
-//! available core count — speedups are only meaningful when the host
+//! Full runs write the results to `BENCH_train.json` (a `--smoke` run
+//! writes nothing) alongside the machine's available core count — speedups are only meaningful when the host
 //! actually has the cores (a 1-core container reports ~1× at every arm).
 
-use pipelayer_bench::{fmt_f, Table};
+use pipelayer_bench::{fmt_f, write_results, Table};
 use pipelayer_nn::data::SyntheticMnist;
-use pipelayer_nn::serialize::atomic_write;
 use pipelayer_nn::trainer::{TrainConfig, Trainer};
 use pipelayer_nn::zoo;
-use std::path::Path;
 use std::time::Instant;
 
 const THREAD_ARMS: [usize; 4] = [1, 2, 4, 8];
@@ -163,11 +161,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    if let Err(e) = atomic_write(Path::new("BENCH_train.json"), json.as_bytes()) {
-        eprintln!("failed to write BENCH_train.json: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote BENCH_train.json");
+    write_results("BENCH_train.json", &json, smoke);
 
     if !identical {
         eprintln!("parallel training diverged from serial — failing");

@@ -10,7 +10,7 @@ pub mod paper;
 pub mod report;
 pub mod workloads;
 
-pub use report::{fmt_f, fmt_si, geomean, Table};
+pub use report::{fmt_f, fmt_si, geomean, write_results, Table};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,24 @@
 //! Plain-text report rendering.
 
+use pipelayer_nn::serialize::atomic_write;
+use std::path::Path;
+
+/// Writes a bench's checked-in results file `path` on a full run. A
+/// `--smoke` run (the CI check, on a shrunken workload) leaves it alone,
+/// so its numbers never replace the full-mode results. Exits with status
+/// 1 if the write fails.
+pub fn write_results(path: &str, json: &str, smoke: bool) {
+    if smoke {
+        println!("\n--smoke: {path} left unchanged");
+        return;
+    }
+    if let Err(e) = atomic_write(Path::new(path), json.as_bytes()) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("\nwrote {path}");
+}
+
 /// Geometric mean of strictly positive values.
 ///
 /// # Panics

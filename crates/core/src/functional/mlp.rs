@@ -165,6 +165,19 @@ fn mean_loss(total: f32, n: usize) -> f32 {
     total / n as f32
 }
 
+/// Images per layer-major chunk of [`ReramMlp::accuracy`]: the batch the
+/// trainers feed, so a chunk's activations stay small.
+const EVAL_CHUNK: usize = 64;
+
+/// Index of the largest output (the last of equal maxima), 0 if empty.
+fn argmax(out: &[f32]) -> usize {
+    out.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
 /// Magic + format version leading a device-state snapshot blob.
 const DEVICE_STATE_MAGIC: u64 = 0x504c_5744_5331_0001;
 
@@ -719,15 +732,16 @@ impl ReramMlp {
 
     /// Inference-only forward (no caches touched beyond reuse).
     pub fn predict(&mut self, x: &[f32]) -> usize {
-        let out = self.forward(x);
-        out.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.forward(x))
     }
 
     /// Accuracy over a labelled set.
+    ///
+    /// The set is fed layer-major in chunks of 64 images, one
+    /// [`ReramMatrix::matvec_batch`] per layer and chunk. Every matrix
+    /// still sees the images in set order, so predictions and spike
+    /// counters are bitwise those of one [`predict`](Self::predict) per
+    /// image, under every device model.
     ///
     /// # Panics
     ///
@@ -736,12 +750,51 @@ impl ReramMlp {
         assert!(!images.is_empty(), "empty evaluation set");
         assert_eq!(images.len(), labels.len(), "length mismatch");
         let mut correct = 0usize;
-        for (img, &label) in images.iter().zip(labels) {
-            if self.predict(img.as_slice()) == label {
-                correct += 1;
-            }
+        for (chunk, labels) in images.chunks(EVAL_CHUNK).zip(labels.chunks(EVAL_CHUNK)) {
+            let vs = chunk.iter().map(|t| t.as_slice().to_vec()).collect();
+            let outs = self.feed_forward(vs, |_, _| {});
+            correct += outs
+                .iter()
+                .zip(labels)
+                .filter(|&(out, &label)| argmax(out) == label)
+                .count();
         }
         correct as f32 / images.len() as f32
+    }
+
+    /// Feeds `vs` through every layer, layer-major: one batched fused
+    /// matvec per layer. `keep` receives each layer's bias-extended inputs
+    /// and activated outputs. Returns the last layer's outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input's width differs from the layer's.
+    fn feed_forward(
+        &mut self,
+        mut vs: Vec<Vec<f32>>,
+        mut keep: impl FnMut(Vec<Vec<f32>>, &[Vec<f32>]),
+    ) -> Vec<Vec<f32>> {
+        for layer in &mut self.layers {
+            let with_bias: Vec<Vec<f32>> = vs
+                .into_iter()
+                .map(|mut v| {
+                    assert_eq!(v.len(), layer.n_in, "input width mismatch");
+                    v.push(1.0);
+                    v
+                })
+                .collect();
+            let mut outs = layer.forward.matvec_batch(&with_bias);
+            if layer.relu {
+                for out in &mut outs {
+                    for o in out.iter_mut() {
+                        *o = o.max(0.0); // activation component LUT
+                    }
+                }
+            }
+            keep(with_bias, &outs);
+            vs = outs;
+        }
+        vs
     }
 
     /// Processes one sample: forward, output error, backward through the
@@ -781,16 +834,15 @@ impl ReramMlp {
     ///
     /// Samples are fed layer-major: every layer sees the whole batch as
     /// one [`ReramMatrix::matvec_batch`] call (forward and error
-    /// backward), which runs the samples one after another through the
-    /// matrix's fused kernel; its level cache is built after each write
-    /// and reused until a member array's state moves. Losses and
-    /// gradients accumulate in sample order, so on arrays whose reads
-    /// don't perturb the device state (ideal, faulted, or pure-retention
-    /// drift) the result is bitwise identical to the per-sample reference
-    /// [`train_batch_scalar`](Self::train_batch_scalar) — differentially
-    /// tested. With per-read noise or read disturb the MVMs execute in a
-    /// different (documented) order, so those trajectories are equally
-    /// valid but not bit-comparable to the per-sample schedule.
+    /// backward), which runs the samples through the matrix's fused
+    /// kernel; its level cache is built after each write and reused until
+    /// a member array's state moves. Losses and gradients accumulate in
+    /// sample order, and each matrix reads the samples in the same order
+    /// as under the per-sample reference
+    /// [`train_batch_scalar`](Self::train_batch_scalar) (the matrices'
+    /// device states are independent), so the result is bitwise identical
+    /// to it under every device model, per-read noise and read disturb
+    /// included — differentially tested.
     ///
     /// # Panics
     ///
@@ -808,30 +860,13 @@ impl ReramMlp {
     /// applied and no clock advanced — callers own that.
     fn batch_grads(&mut self, images: &[Tensor], labels: &[usize]) -> f32 {
         // Forward, layer-major: one batched fused matvec per layer.
-        let mut vs: Vec<Vec<f32>> = images.iter().map(|t| t.as_slice().to_vec()).collect();
+        let vs = images.iter().map(|t| t.as_slice().to_vec()).collect();
         let mut cached_ins: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
         let mut cached_outs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len());
-        for layer in &mut self.layers {
-            let with_bias: Vec<Vec<f32>> = vs
-                .into_iter()
-                .map(|mut v| {
-                    assert_eq!(v.len(), layer.n_in, "input width mismatch");
-                    v.push(1.0);
-                    v
-                })
-                .collect();
-            let mut outs = layer.forward.matvec_batch(&with_bias);
-            if layer.relu {
-                for out in &mut outs {
-                    for o in out.iter_mut() {
-                        *o = o.max(0.0); // activation component LUT
-                    }
-                }
-            }
-            cached_ins.push(with_bias);
-            vs = outs.clone();
-            cached_outs.push(outs);
-        }
+        let vs = self.feed_forward(vs, |ins, outs| {
+            cached_ins.push(ins);
+            cached_outs.push(outs.to_vec());
+        });
 
         // Output error per sample, in sample order.
         let mut total = 0.0;
@@ -1477,14 +1512,35 @@ mod tests {
         );
     }
 
+    /// An MLP aging under `disturb_per_level` read disturb and reading
+    /// through strength-0.5 per-read noise.
+    fn drifting_noisy(disturb_per_level: u64) -> ReramMlp {
+        let drift = DriftModel {
+            nu: 0.2,
+            nu_sigma: 0.15,
+            t0_cycles: 50,
+            disturb_per_level,
+        };
+        let mut mlp = ReramMlp::with_resilience(
+            &[49, 16, 10],
+            &ReramParams::default(),
+            5,
+            drift,
+            ScrubPolicy::off(),
+            VerifyPolicy::with_attempts(2),
+        );
+        mlp.attach_noise(NoiseModel::with_strength(0.5), 5);
+        mlp
+    }
+
     /// The layer-major batched feed must reproduce the per-sample
-    /// reference bit-for-bit on arrays whose reads don't perturb device
-    /// state — here on ideal arrays and on fault-ridden ones (stuck cells
-    /// are read-order-independent).
+    /// reference bit-for-bit under every device model: each matrix reads
+    /// the samples in the same order in both schedules, so even per-read
+    /// noise and read disturb land identically.
     #[test]
     fn batched_feed_matches_scalar_reference_bitwise() {
         let (tr, trl, _, _) = small_task();
-        let builds: [fn() -> ReramMlp; 2] = [
+        let builds: [fn() -> ReramMlp; 4] = [
             || ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5),
             || {
                 ReramMlp::with_faults(
@@ -1494,6 +1550,8 @@ mod tests {
                     &FaultModel::with_stuck_rate(1e-3),
                 )
             },
+            || drifting_noisy(0),
+            || drifting_noisy(1),
         ];
         for build in builds {
             let mut batched = build();
@@ -1512,6 +1570,59 @@ mod tests {
             }
             assert_eq!(batched.read_spikes(), scalar.read_spikes());
             assert_eq!(batched.write_spikes(), scalar.write_spikes());
+        }
+    }
+
+    /// The chunked layer-major accuracy pass must equal one `predict` per
+    /// image bit for bit — accuracy, spike counters and the device state
+    /// the next read sees — on ideal, faulty, drifting-and-disturbing and
+    /// noisy arrays, also when the set is not a whole number of chunks.
+    #[test]
+    fn batched_accuracy_matches_per_image_predict() {
+        let (tr, trl, _, _) = small_task();
+        let data = SyntheticMnist::generate(1, EVAL_CHUNK + 9, 78);
+        let te: Vec<Tensor> = data.test.images.iter().map(|t| downsample(t, 4)).collect();
+        let tel = data.test.labels;
+        let builds: [fn() -> ReramMlp; 4] = [
+            || ReramMlp::new(&[49, 16, 10], &ReramParams::default(), 5),
+            || {
+                ReramMlp::with_faults(
+                    &[49, 16, 10],
+                    &ReramParams::default(),
+                    5,
+                    &FaultModel::with_stuck_rate(1e-2),
+                )
+            },
+            || drifting_noisy(1),
+            || {
+                ReramMlp::with_noise(
+                    &[49, 16, 10],
+                    &ReramParams::default(),
+                    5,
+                    NoiseModel::with_strength(0.5),
+                )
+            },
+        ];
+        for build in builds {
+            let mut batched = build();
+            for (imgs, labs) in tr.chunks(10).zip(trl.chunks(10)).take(2) {
+                batched.train_batch(imgs, labs, 0.3);
+            }
+            let mut single = batched.clone();
+            let got = batched.accuracy(&te, &tel);
+            let hits = te
+                .iter()
+                .zip(&tel)
+                .filter(|&(img, &label)| single.predict(img.as_slice()) == label)
+                .count();
+            let want = hits as f32 / te.len() as f32;
+            assert_eq!(got.to_bits(), want.to_bits(), "accuracy diverged");
+            assert_eq!(batched.read_spikes(), single.read_spikes());
+            assert_eq!(batched.device_state(), single.device_state());
+            let probe = te[0].as_slice();
+            let a: Vec<u32> = batched.forward(probe).iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = single.forward(probe).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "the next read diverged");
         }
     }
 

@@ -633,7 +633,7 @@ impl Crossbar {
     /// Whether the bookkeeping at the *end* of an MVM (read disturb,
     /// read-noise epoch bump) can change what the next read sees — if so
     /// the plane cache must not survive the call.
-    fn reads_perturb_levels(&self) -> bool {
+    pub(crate) fn reads_perturb_levels(&self) -> bool {
         self.drift
             .as_ref()
             .is_some_and(|d| d.model().disturb_per_level > 0)
@@ -695,8 +695,11 @@ impl Crossbar {
 
         // Every slot that drove a word line disturbed that row's cells.
         let low_mask = driver.injected_mask();
-        let row_spikes: Vec<u32> = input.iter().map(|&v| (v & low_mask).count_ones()).collect();
-        self.book_read(&row_spikes, out.iter().sum());
+        let row_spikes: Vec<u64> = input
+            .iter()
+            .map(|&v| u64::from((v & low_mask).count_ones()))
+            .collect();
+        self.book_read(&row_spikes, out.iter().sum(), 1);
         // Keep the decomposition only if this read left the levels (and
         // their noise epoch) untouched.
         if !self.reads_perturb_levels() {
@@ -705,23 +708,26 @@ impl Crossbar {
         out
     }
 
-    /// Books one array read: `row_spikes[r]` is the spike count word line
-    /// `r` drove (the popcount of its injected bits) and `output_spikes`
-    /// the sum of the column outputs fired. Read disturb lands per row,
-    /// the noise read epoch advances, and a perturbing read invalidates.
-    /// Shared by [`mvm_spiked`](Self::mvm_spiked) and the fused kernel of
-    /// [`ReramMatrix`](crate::ReramMatrix), which computes the products
-    /// outside the crossbar.
-    pub(crate) fn book_read(&mut self, row_spikes: &[u32], output_spikes: u64) {
-        self.read_spikes += row_spikes.iter().map(|&n| u64::from(n)).sum::<u64>();
+    /// Books `reads` array reads (MVMs): `row_spikes[r]` is the spike
+    /// count word line `r` drove over all of them (the popcounts of its
+    /// injected bits) and `output_spikes` the sum of the column outputs
+    /// they fired. Read disturb lands per row, the noise read epoch
+    /// advances once per read, and a perturbing read invalidates. Booking
+    /// several reads at once equals booking them one by one only when
+    /// they do not perturb: the fused kernel books a batch at once only
+    /// then. Shared by [`mvm_spiked`](Self::mvm_spiked) and the fused
+    /// kernel of [`ReramMatrix`](crate::ReramMatrix), which computes the
+    /// products outside the crossbar.
+    pub(crate) fn book_read(&mut self, row_spikes: &[u64], output_spikes: u64, reads: u64) {
+        self.read_spikes += row_spikes.iter().sum::<u64>();
         self.output_spikes += output_spikes;
         if let Some(d) = self.drift.as_mut() {
             for (r, &n) in row_spikes.iter().enumerate() {
-                d.note_row_reads(r, u64::from(n));
+                d.note_row_reads(r, n);
             }
         }
         if let Some(n) = self.noise.as_mut() {
-            n.note_mvm();
+            n.note_mvms(reads);
         }
         if self.reads_perturb_levels() {
             self.invalidate();
@@ -799,7 +805,7 @@ impl Crossbar {
             }
         }
         if let Some(n) = self.noise.as_mut() {
-            n.note_mvm();
+            n.note_mvms(1);
         }
         // Same coherence rule as the packed path: if this read's disturb /
         // noise-epoch bookkeeping can change what the next read sees, any

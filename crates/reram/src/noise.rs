@@ -329,10 +329,10 @@ impl NoiseState {
         self.reads
     }
 
-    /// Record one array read: subsequent read-noise draws come from the
-    /// next epoch.
-    pub fn note_mvm(&mut self) {
-        self.reads = self.reads.wrapping_add(1);
+    /// Record `reads` array reads: subsequent read-noise draws come from
+    /// the epoch that many reads on.
+    pub fn note_mvms(&mut self, reads: u64) {
+        self.reads = self.reads.wrapping_add(reads);
     }
 
     /// Record that the cell was physically re-programmed: its device
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn ideal_model_never_alters_reads() {
         let mut s = NoiseState::new(8, 8, NoiseModel::ideal(), 7);
-        s.note_mvm();
+        s.note_mvms(1);
         s.note_program(3, 3);
         for stored in 0..=15u8 {
             assert_eq!(s.effective_level(3, 3, stored, 15), stored);
@@ -419,7 +419,7 @@ mod tests {
             .map(|i| s.effective_level(i / 8, i % 8, 8, 15))
             .collect();
         assert_eq!(before, again, "same epoch must replay bitwise");
-        s.note_mvm();
+        s.note_mvms(1);
         let after: Vec<u8> = (0..64)
             .map(|i| s.effective_level(i / 8, i % 8, 8, 15))
             .collect();
